@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as sio
-from .baselines import BaselineConfig, fit_elastic_net, fit_lasso
 from .data import Dataset
 from .evaluation import auc, coefficient_error, default_grid, kfold_cv, mse
 from .exceptions import SltrError

@@ -1,4 +1,12 @@
-"""Dense linear-algebra primitives and the ridge plug-in backbone."""
+"""Dense linear-algebra primitives and the ridge plug-in backbone.
+
+The spectral work of the solver goes through two Gram-matrix paths: the
+thresholded :func:`svd` kernel, which computes only the singular triplets
+above a threshold, and :func:`nuclear_norm`.  Both use ``eigh`` of the
+smaller Gram matrix (``a a'`` or ``a' a``) and fall back to the LAPACK SVD
+when the eigenvalues they rely on sit too far below the largest one for the
+squared spectrum to resolve them.
+"""
 
 from __future__ import annotations
 
@@ -22,10 +30,22 @@ __all__ = [
     "backbone",
 ]
 
+# eigh resolves a Gram eigenvalue only to a few ulps of the largest, so a
+# singular value taken from eigenvalue lam is off by about
+# eps * sqrt(lam_max / lam) * ||a||_2.  The Gram paths use the eigenvalues
+# only while every one they rely on is above this fraction of the largest
+# (singular values above 1e-4 * ||a||_2), which bounds that error by about
+# 2e-12 * ||a||_2; otherwise they use LAPACK.
+_GRAM_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD ``a = u @ diag(s) @ v.T`` with ``s`` non-increasing, >= 0."""
+    """Thin SVD ``a = u @ diag(s) @ v.T`` with ``s`` non-increasing, >= 0.
+
+    A thresholded :func:`svd` holds only the leading triplets, those with
+    ``s`` above the threshold, so ``reconstruct`` then gives that part of ``a``.
+    """
 
     u: np.ndarray
     s: np.ndarray
@@ -43,38 +63,41 @@ class Backbone:
     epsilon: float
 
 
-def svd(a: np.ndarray) -> SvdFactors:
-    """Thin SVD of a matrix.
+def svd(a: np.ndarray, above: float | None = None) -> SvdFactors:
+    """Thin SVD of a matrix, or only its triplets with ``s > above``.
 
-    Uses the LAPACK divide-and-conquer driver and falls back to the slower
-    QR-based driver if it fails to converge; both are deterministic for a
-    fixed input.
+    Without a threshold this is the LAPACK SVD.
+
+    With ``above = t`` it is the thresholded spectral kernel: ``eigh`` of the
+    smaller Gram matrix (``a a'`` or ``a' a``), whose eigenvectors with
+    eigenvalue above ``t**2`` are the kept singular vectors on that side.
+    Each kept singular value is recomputed as the norm of ``a`` projected on
+    its vector, which also gives the vector on the other side and keeps small
+    singular values accurate.  This costs one Gram product, a small symmetric
+    eigensolve and one product with the kept vectors instead of a full SVD.
+    The Gram matrix squares the spectrum: when some kept eigenvalue is at
+    most ``1e-8`` times the largest (a kept singular value at most
+    ``1e-4 * ||a||_2``), the kernel truncates the LAPACK SVD instead.  Either
+    way the soft-thresholded spectrum ``max(s - t, 0)`` and the matrices
+    built from it agree with the full SVD's to about ``2e-12 * ||a||_2``.
     """
-    a = _as_matrix(a)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("SVD requires finite entries")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - needs a pathological input
-            raise NumericalError(f"SVD failed to converge on {a.shape} matrix: {exc}") from exc
-    return SvdFactors(u=u, s=s, v=vh.T)
+    a = _finite_matrix(a)
+    if above is None:
+        u, s, vh = _lapack_svd(a, compute_uv=True)
+        return SvdFactors(u=u, s=s, v=vh.T)
+    if not above >= 0:
+        raise ValueError(f"threshold must be non-negative, got {above}")
+    f = _gram_svd(a, above)
+    if f is None:
+        u, s, vh = _lapack_svd(a, compute_uv=True)
+        k = int(np.count_nonzero(s > above))
+        f = SvdFactors(u=u[:, :k], s=s[:k], v=vh[:k].T)
+    return f
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values only (non-increasing), skipping the factor computation."""
-    a = _as_matrix(a)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("SVD requires finite entries")
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        try:
-            return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - needs a pathological input
-            raise NumericalError(f"SVD failed to converge on {a.shape} matrix: {exc}") from exc
+    return _lapack_svd(_finite_matrix(a), compute_uv=False)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -83,8 +106,22 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def nuclear_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a matrix."""
-    return float(np.sum(singular_values(a)))
+    """Sum of singular values of a matrix.
+
+    Sums the square roots of the eigenvalues of the smaller Gram matrix,
+    each within about ``2e-12 * ||a||_2`` of its singular value.  When the
+    smallest eigenvalue is at most ``1e-8`` times the largest (so also for a
+    rank-deficient or zero matrix), or if ``eigvalsh`` fails, it sums the
+    LAPACK singular values instead.
+    """
+    a = _finite_matrix(a)
+    try:
+        lam = np.linalg.eigvalsh(a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a)
+    except np.linalg.LinAlgError:
+        lam = np.zeros(0)
+    if not lam.size or lam[0] <= _GRAM_RTOL * lam[-1]:
+        return float(np.sum(singular_values(a)))
+    return float(np.sum(np.sqrt(lam)))
 
 
 def tensor_nuclear_norm(t: Tensor) -> float:
@@ -126,6 +163,62 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
     return Backbone(tensor=tensorize(w, dims), epsilon=float(epsilon))
+
+
+def _finite_matrix(a) -> np.ndarray:
+    a = _as_matrix(a)
+    if not np.isfinite(a).all():
+        raise NumericalError("SVD requires finite entries")
+    return a
+
+
+def _gram_svd(a: np.ndarray, above: float) -> SvdFactors | None:
+    """The triplets of ``a`` with ``s > above``, from ``eigh`` of its smaller Gram matrix.
+
+    ``None`` when some kept eigenvalue is at most ``_GRAM_RTOL`` times the
+    largest, or when ``eigh`` fails: the caller then truncates the LAPACK SVD.
+    """
+    m, n = a.shape
+    wide = m <= n
+    try:
+        lam, q = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    except np.linalg.LinAlgError:
+        return None
+    k = int(np.count_nonzero(lam > above * above))
+    if k == 0:
+        return SvdFactors(u=np.zeros((m, 0)), s=np.zeros(0), v=np.zeros((n, 0)))
+    if lam[-k] <= _GRAM_RTOL * lam[-1]:
+        return None
+    q = q[:, -k:][:, ::-1]  # kept eigenvectors, largest eigenvalue first
+    if wide:
+        w = q.T @ a  # row i is s_i v_i'
+        s = np.sqrt((w * w).sum(axis=1))
+        u, v = q, (w / s[:, None]).T
+    else:
+        w = a @ q  # column i is s_i u_i
+        s = np.sqrt((w * w).sum(axis=0))
+        u, v = w / s, q
+    if s[-1] <= above or (s[1:] > s[:-1]).any():
+        # Rounding moved a recomputed value of a cluster out of order or onto the threshold.
+        order = np.argsort(-s, kind="stable")
+        order = order[s[order] > above]
+        u, s, v = u[:, order], s[order], v[:, order]
+    return SvdFactors(u=u, s=s, v=v)
+
+
+def _lapack_svd(a: np.ndarray, compute_uv: bool):
+    """LAPACK divide-and-conquer SVD, or the slower QR-based driver if that fails to converge.
+
+    Both drivers are deterministic for a fixed input.
+    """
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        try:
+            return scipy.linalg.svd(a, full_matrices=False, compute_uv=compute_uv,
+                                    lapack_driver="gesvd")
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - needs a pathological input
+            raise NumericalError(f"SVD failed to converge on {a.shape} matrix: {exc}") from exc
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -3,7 +3,9 @@
 The four operators act on the mode-m unfolding and correspond to the four
 terms of the split objective: the elementwise l1 norm, the matrix nuclear
 norm, and the indicator functions of the l-infinity and spectral balls
-centered on the backbone unfolding.
+centered on the backbone unfolding.  The two spectral operators change only
+the singular triplets above their threshold, so they call the thresholded
+:func:`~sltr.linalg.svd` kernel, which computes just those.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ def prox_l1(v: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def prox_nuclear(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Singular-value soft thresholding: the prox of ``gamma * ||.||_*`` at ``v``."""
+    """Singular-value soft thresholding: the prox of ``gamma * ||.||_*`` at ``v``.
+
+    Only the triplets with ``s > gamma`` survive; each is shrunk by ``gamma``.
+    """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    f = svd(v)
-    return (f.u * np.maximum(f.s - gamma, 0.0)) @ f.v.T
+    f = svd(v, above=gamma)
+    return (f.u * (f.s - gamma)) @ f.v.T
 
 
 def project_linf_ball(v: np.ndarray, ctr: ConstraintCenter) -> np.ndarray:
@@ -70,10 +75,12 @@ def project_linf_ball(v: np.ndarray, ctr: ConstraintCenter) -> np.ndarray:
 def project_spectral_ball(v: np.ndarray, ctr: ConstraintCenter) -> np.ndarray:
     """Euclidean projection onto ``{w : ||w - c||_spec <= tau}``.
 
-    Clips the singular values of ``v - c`` at ``tau`` and re-centers.
+    Clips the singular values of ``v - c`` at ``tau`` by subtracting the
+    excess of the triplets with ``s > tau``.  Returns ``v`` itself (not a
+    copy) when it is already in the ball.
     """
     ctr.check_shape(v)
-    f = svd(v - ctr.c)
-    if f.s.size and f.s[0] <= ctr.tau:
+    f = svd(v - ctr.c, above=ctr.tau)
+    if not f.s.size:
         return v
-    return ctr.c + (f.u * np.minimum(f.s, ctr.tau)) @ f.v.T
+    return v - (f.u * (f.s - ctr.tau)) @ f.v.T

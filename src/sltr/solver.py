@@ -57,7 +57,6 @@ class SolverConfig:
     in (0, 2), and ``gamma`` the prox step size for the two norm terms
     (projections ignore it).  ``paper_faithful_steps`` switches the prox
     step size to ``4 * lam`` for both norm terms instead of ``gamma``.
-    ``seed`` is carried for provenance; the solver itself is deterministic.
     """
 
     lam: float
@@ -70,7 +69,6 @@ class SolverConfig:
     parallel_modes: bool = True
     parallel_prox: bool = False
     paper_faithful_steps: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:

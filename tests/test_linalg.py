@@ -42,10 +42,114 @@ class TestSvd:
         assert np.sum(svd(a).s ** 2) == pytest.approx(np.sum(a * a), rel=1e-12)
 
     def test_non_finite_rejected(self):
-        a = np.zeros((2, 2))
-        a[0, 0] = np.nan
-        with pytest.raises(NumericalError):
-            svd(a)
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.ones((2, 3))
+            a[0, 0] = bad
+            for above in (None, 0.5):
+                with pytest.raises(NumericalError):
+                    svd(a, above=above)
+            with pytest.raises(NumericalError):
+                nuclear_norm(a)
+
+
+# Stated accuracy of the Gram paths, as a multiple of ||A||_2: the kernel's
+# soft-thresholded and clipped spectra and reconstructions, and the nuclear
+# norm per singular value.  eigh resolves an eigenvalue lam to a few ulps of
+# lam_max, which costs about eps * sqrt(lam_max / lam) in the singular value;
+# the Gram paths only use eigenvalues above 1e-8 * lam_max, where that is
+# eps * 1e4 ~ 2e-12.  The worst seen on these matrices is about 1e-13.
+GRAM_TOL = 2e-12
+
+
+def _with_spectrum(s, m, n, seed):
+    """An m x n matrix whose singular values are ``s``, with random singular vectors."""
+    r = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(r.normal(size=(m, len(s))))
+    v, _ = np.linalg.qr(r.normal(size=(n, len(s))))
+    return (u * np.asarray(s)) @ v.T
+
+
+def _spectrum_at(t, offsets):
+    """Singular values 1, 0.7, 0.2, 0.05 and ``t * (1 + d)`` for each offset ``d``, 0.2 < t < 0.7."""
+    return sorted([1.0, 0.7, 0.2, 0.05] + [t * (1.0 + d) for d in offsets], reverse=True)
+
+
+_R = np.random.default_rng(20)
+ORACLE_MATRICES = {
+    "tall": _R.normal(size=(40, 7)),
+    "wide": _R.normal(size=(7, 40)),
+    "one_row": _R.normal(size=(1, 30)),
+    "one_column": _R.normal(size=(30, 1)),
+    "zero": np.zeros((5, 8)),
+    "rank3": _R.normal(size=(30, 3)) @ _R.normal(size=(3, 300)),
+    "cond1e8": _with_spectrum(np.logspace(0, -8, 30), 30, 300, 21),
+    "cond1e16": _with_spectrum(np.logspace(0, -16, 30), 300, 30, 22),
+    "near_threshold": _with_spectrum(_spectrum_at(0.5, [1e-12]), 9, 40, 23),
+    "cluster": _with_spectrum(_spectrum_at(0.5, [k * 1e-13 for k in range(-3, 4)] + [0.0] * 3),
+                              40, 16, 24),
+}
+# Where the two constructed spectra put a singular value on or around the threshold.
+SPECIAL_THRESHOLDS = {
+    "near_threshold": [0.5, 0.5 * (1 + 1e-12), 0.5 * (1 + 2e-12)],
+    "cluster": [0.5 * (1 + k * 1e-13) for k in range(-4, 5)],
+}
+
+
+def _soft(u, s, v, t):
+    return (u * np.maximum(s - t, 0.0)) @ v.T
+
+
+class TestThresholdedSvd:
+    """The thresholded kernel against the full LAPACK SVD (``np.linalg.svd``)."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_matches_lapack(self, name):
+        a = ORACLE_MATRICES[name]
+        m, n = a.shape
+        ref = np.linalg.svd(a, full_matrices=False)
+        norm = ref.S[0] if ref.S[0] > 0 else 1.0
+        thresholds = list(norm * np.logspace(-13, 0.1, 30)) + [0.0] + SPECIAL_THRESHOLDS.get(name, [])
+        for t in thresholds:
+            f = svd(a, above=t)
+            k = f.s.size
+            assert f.u.shape == (m, k) and f.v.shape == (n, k)
+            assert np.all(f.s > t) and np.all(np.diff(f.s) <= 0)
+            kept = np.zeros(min(m, n))
+            kept[:k] = f.s - t
+            # singular-value soft thresholding (prox_nuclear) and clipping (the spectral ball)
+            assert np.max(np.abs(kept - np.maximum(ref.S - t, 0.0))) <= GRAM_TOL * norm
+            shrunk = _soft(f.u, f.s, f.v, t)
+            assert np.max(np.abs(shrunk - _soft(ref.U, ref.S, ref.Vh.T, t))) <= GRAM_TOL * norm
+            clipped = (ref.U * np.minimum(ref.S, t)) @ ref.Vh
+            assert np.max(np.abs((a - shrunk) - clipped)) <= GRAM_TOL * norm
+            if t >= 1e-4 * norm:
+                # Every kept eigenvalue is above 1e-8 * lam_max, so the Gram path ran; its
+                # values, recomputed from the projections, keep their relative accuracy.
+                np.testing.assert_allclose(f.s, ref.S[:k], rtol=1e-11)
+
+    def test_nothing_above_threshold_is_empty(self):
+        a = _with_spectrum([2.0, 1.0], 3, 5, 25)
+        for t in (3.0, 1e300):
+            f = svd(a, above=t)
+            assert f.s.shape == (0,) and f.u.shape == (3, 0) and f.v.shape == (5, 0)
+
+    def test_eigensolver_failure_falls_back_to_lapack(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        a = ORACLE_MATRICES["wide"]
+        ref = np.linalg.svd(a, full_matrices=False)
+        t = ref.S[2]
+        f = svd(a, above=t)
+        np.testing.assert_array_equal(f.s, ref.S[ref.S > t])
+        assert nuclear_norm(a) == float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+    @pytest.mark.parametrize("above", [-1.0, np.nan])
+    def test_invalid_threshold(self, above):
+        with pytest.raises(ValueError):
+            svd(np.eye(2), above=above)
 
 
 class TestSpectralNuclear:
@@ -91,6 +195,24 @@ class TestSpectralNuclear:
         na, nb = tensor_nuclear_norm(a), tensor_nuclear_norm(b)
         assert tensor_nuclear_norm(scaled) == pytest.approx(abs(alpha) * na, rel=1e-10)
         assert tensor_nuclear_norm(both) <= na + nb + 1e-10
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_nuclear_matches_lapack_sum(self, name):
+        a = ORACLE_MATRICES[name]
+        s = np.linalg.svd(a, compute_uv=False)
+        assert abs(nuclear_norm(a) - np.sum(s)) <= GRAM_TOL * s.size * max(s[0], 1.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 31), log_cond=st.floats(0.0, 6.0),
+           shape=st.sampled_from([(5, 100), (20, 60), (60, 20), (1, 9), (9, 1)]))
+    def test_nuclear_matches_lapack_sum_on_random_spectra(self, seed, log_cond, shape):
+        # condition numbers on both sides of the 1e4 where the Gram sum falls back to LAPACK
+        k = min(shape)
+        r = np.random.default_rng(seed)
+        spectrum = np.sort(10.0 ** r.uniform(-log_cond, 0.0, k))[::-1]
+        a = _with_spectrum(spectrum, *shape, seed)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert abs(nuclear_norm(a) - np.sum(s)) <= GRAM_TOL * k * s[0]
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2 ** 31))

@@ -113,11 +113,14 @@ class TestProjectSpectral:
     def test_feasible_unchanged(self):
         ctr = _center(12, tau=100.0)
         v = ctr.c + _mat(13, scale=0.1)
-        np.testing.assert_array_equal(project_spectral_ball(v, ctr), v)
+        # an early exit hands back the operand itself, not a copy
+        assert project_spectral_ball(v, ctr) is v
 
     def test_diagonal_clipping(self):
         ctr = ConstraintCenter(np.zeros((2, 2)), 1.0, 2.0)
-        out = project_spectral_ball(np.diag([5.0, 1.0]), ctr)
+        v = np.diag([5.0, 1.0])
+        out = project_spectral_ball(v, ctr)
+        assert out is not v
         np.testing.assert_allclose(out, np.diag([2.0, 1.0]), atol=1e-12)
 
     def test_feasibility_idempotence_and_probes(self):
@@ -139,7 +142,7 @@ class TestProjectSpectral:
     def test_center_is_fixed_point_of_both(self):
         ctr = _center(16, lam=0.2, tau=0.5)
         np.testing.assert_array_equal(project_linf_ball(ctr.c, ctr), ctr.c)
-        np.testing.assert_array_equal(project_spectral_ball(ctr.c, ctr), ctr.c)
+        assert project_spectral_ball(ctr.c, ctr) is ctr.c
 
 
 class TestNonExpansiveness:

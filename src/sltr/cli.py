@@ -191,7 +191,7 @@ def _cmd_predict(args) -> int:
     yhat = predict(w, ds.samples())
     with open(args.out, "w") as fh:
         fh.write("y_hat\n")
-        for v in yhat:
+        for v in yhat.tolist():
             fh.write(f"{v!r}\n")
     return 0
 
@@ -207,6 +207,8 @@ def _cmd_cv(args) -> int:
         for (lam, tau, eps), cell in zip(report.grid, report.per_cell)
     ]
     _print_table(("lambda", "tau", "epsilon", "mean_mse", "selected"), rows)
+    for cell, reason in report.failures:
+        print(f"warning: cell {cell} failed: {reason}", file=sys.stderr)
     return 0
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
+from .exceptions import DivergenceError
 from .linalg import singular_values
 from .solver import SolverConfig, fit, predict
 from .tensor import Tensor, unfold
@@ -30,12 +31,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CvReport:
-    """Grid search result: one mean validation MSE per (lambda, tau, epsilon) cell."""
+    """Grid search result: one mean validation MSE per (lambda, tau, epsilon) cell.
+
+    A cell whose fit diverged on some fold has ``nan`` in ``per_cell`` and a
+    ``(cell, reason)`` pair in ``failures``; selection skips it.
+    """
 
     grid: tuple
     per_cell: tuple
     selected: tuple
     fold_seed: int
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,10 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
     Each grid cell is a ``(lambda, tau, epsilon)`` triple; the remaining
     solver parameters come from ``cfg_template``.  Selection takes the cell
     with the smallest mean MSE, breaking ties by the lexicographically
-    smallest triple, so the winner does not depend on grid order.
+    smallest triple, so the winner does not depend on grid order.  A cell
+    whose fit raises :class:`DivergenceError` on any fold is recorded as a
+    failure (MSE ``nan``) and not selected; if every cell fails, the
+    ``DivergenceError`` is raised with all their reasons.
     """
     cells = [(float(l), float(t), float(e)) for l, t, e in grid]
     if not cells:
@@ -155,16 +164,26 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
         val = ds.subset(f)
         splits.append((train, val))
     per_cell = []
-    for lam, tau, eps in cells:
+    failures = []
+    for cell in cells:
+        lam, tau, eps = cell
         cfg = replace(cfg_template, lam=lam, tau=tau, epsilon=eps)
-        scores = [
-            mse(val.y, predict(fit(train, cfg, threads=threads).w_hat, val.samples()))
-            for train, val in splits
-        ]
+        try:
+            scores = [
+                mse(val.y, predict(fit(train, cfg, threads=threads).w_hat, val.samples()))
+                for train, val in splits
+            ]
+        except DivergenceError as exc:
+            per_cell.append(math.nan)
+            failures.append((cell, str(exc)))
+            continue
         per_cell.append(float(np.mean(scores)))
-    selected = min(zip(per_cell, cells))[1]
-    return CvReport(grid=tuple(cells), per_cell=tuple(per_cell), selected=selected,
-                    fold_seed=fold_seed)
+    finite = [(v, c) for v, c in zip(per_cell, cells) if not math.isnan(v)]
+    if not finite:
+        raise DivergenceError(
+            "every grid cell diverged: " + "; ".join(f"{c}: {r}" for c, r in failures))
+    return CvReport(grid=tuple(cells), per_cell=tuple(per_cell), selected=min(finite)[1],
+                    fold_seed=fold_seed, failures=tuple(failures))
 
 
 def theorem_bound(b: BoundInputs) -> float:

@@ -54,10 +54,10 @@ class _Reader:
     """Sequential buffer reader that reports byte offsets on failure."""
 
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf).cast("B")  # slices of a memoryview are not copies
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.buf):
             raise FormatError(
                 f"truncated file: expected {n} more bytes for {what}", offset=self.offset
@@ -73,7 +73,8 @@ class _Reader:
         return int(np.frombuffer(self.take(8, what), _U64)[0])
 
     def f64s(self, n: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n, what), _F64).astype(np.float64)
+        # A read-only view of the buffer: Dataset and Tensor copy what they keep.
+        return np.frombuffer(self.take(8 * n, what), _F64)
 
     def done(self) -> None:
         if self.offset != len(self.buf):
@@ -84,7 +85,7 @@ class _Reader:
 
 
 def _read_magic(r: _Reader, magic: bytes) -> None:
-    got = r.take(len(magic), "magic")
+    got = bytes(r.take(len(magic), "magic"))
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
 
@@ -103,14 +104,22 @@ def _read_dims(r: _Reader):
     return tuple(dims)
 
 
+def _f64_payload(a) -> memoryview:
+    """Bytes of ``a`` as little-endian f64, without a copy where ``a`` already is."""
+    return memoryview(np.ascontiguousarray(a, dtype=_F64)).cast("B")
+
+
+def _tensor_parts(t: Tensor):
+    header = (
+        TENSOR_MAGIC
+        + np.asarray([t.order], _U32).tobytes()
+        + np.asarray(t.dims, _U64).tobytes()
+    )
+    return [header, _f64_payload(t.data)]
+
+
 def encode_tensor(t: Tensor) -> bytes:
-    parts = [
-        TENSOR_MAGIC,
-        np.asarray([t.order], _U32).tobytes(),
-        np.asarray(t.dims, _U64).tobytes(),
-        np.ascontiguousarray(t.data, dtype=np.float64).astype(_F64).tobytes(),
-    ]
-    return b"".join(parts)
+    return b"".join(_tensor_parts(t))
 
 
 def decode_tensor(buf: bytes) -> Tensor:
@@ -125,16 +134,18 @@ def decode_tensor(buf: bytes) -> Tensor:
     return Tensor(dims, data)
 
 
+def _dataset_parts(ds: Dataset):
+    header = (
+        DATASET_MAGIC
+        + np.asarray([DATASET_VERSION, len(ds.dims)], _U32).tobytes()
+        + np.asarray(ds.dims, _U64).tobytes()
+        + np.asarray([ds.n], _U64).tobytes()
+    )
+    return [header, _f64_payload(ds.x), _f64_payload(ds.y)]
+
+
 def encode_dataset(ds: Dataset) -> bytes:
-    parts = [
-        DATASET_MAGIC,
-        np.asarray([DATASET_VERSION, len(ds.dims)], _U32).tobytes(),
-        np.asarray(ds.dims, _U64).tobytes(),
-        np.asarray([ds.n], _U64).tobytes(),
-        np.ascontiguousarray(ds.x, dtype=np.float64).astype(_F64).tobytes(),
-        np.ascontiguousarray(ds.y, dtype=np.float64).astype(_F64).tobytes(),
-    ]
-    return b"".join(parts)
+    return b"".join(_dataset_parts(ds))
 
 
 def decode_dataset(buf: bytes) -> Dataset:
@@ -158,9 +169,14 @@ def decode_dataset(buf: bytes) -> Dataset:
     return Dataset(dims, x, y)
 
 
-def write_tensor(path, t: Tensor) -> None:
+def _write_parts(path, parts) -> None:
     with open(path, "wb") as fh:
-        fh.write(encode_tensor(t))
+        for part in parts:
+            fh.write(part)
+
+
+def write_tensor(path, t: Tensor) -> None:
+    _write_parts(path, _tensor_parts(t))
 
 
 def read_tensor(path) -> Tensor:
@@ -169,8 +185,7 @@ def read_tensor(path) -> Tensor:
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_dataset(ds))
+    _write_parts(path, _dataset_parts(ds))
 
 
 def read_dataset(path) -> Dataset:

@@ -11,8 +11,11 @@ Generation recipe for a given seed, in stream order (see :mod:`sltr.rng`):
 3. samples: ``n * P`` normals from the sample stream, sample-major,
    canonical layout within each sample;
 4. responses: ``y_i = <W, X_i> + alpha * eps_i`` with noise from the noise
-   stream; the inner product is a correctly-rounded sum, so the emitted
-   dataset is identical across platforms.
+   stream.  The inner products come from :func:`sltr.tensor.dot_rows`: each
+   is exactly ``math.fsum`` of the products ``X_i * W``, the correctly
+   rounded sum, so the emitted dataset is identical across platforms.  Rows
+   whose rounding the vectorized sum cannot certify (and all-zero or
+   non-finite rows) are summed by ``math.fsum`` itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .tensor import Tensor
+from .tensor import Tensor, dot_rows
 
 __all__ = ["SimSpec", "generate"]
 
@@ -71,7 +74,7 @@ def generate(spec: SimSpec):
 
     x = rng.normals(spec.seed, rng.STREAM_SAMPLES, spec.n * p_total).reshape(spec.n, p_total)
     noise = rng.normals(spec.seed, rng.STREAM_NOISE, spec.n)
-    y = np.array([math.fsum(np.multiply(row, w_star.data)) for row in x])
+    y = dot_rows(x, w_star.data)
     y += spec.noise_alpha * noise
     return Dataset(dims, x, y), w_star
 

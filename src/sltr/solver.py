@@ -32,7 +32,8 @@ from .data import Dataset
 from .exceptions import DivergenceError
 from .linalg import backbone, nuclear_norm, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
-from .tensor import Tensor, fold, inner, unfold
+from .tensor import Tensor, block_rows, dot_rows, fold, unfold
+from .tensor import inner  # noqa: F401  perfbench/spans.py traces sltr.solver.inner
 
 __all__ = [
     "SolverConfig",
@@ -241,8 +242,29 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
 
 
 def predict(w: Tensor, xs) -> np.ndarray:
-    """Predicted responses ``<w, x_i>`` for an iterable of sample tensors."""
-    return np.array([inner(w, x) for x in xs], dtype=np.float64)
+    """Predicted responses ``<w, x_i>`` for an iterable of sample tensors.
+
+    Each value equals :func:`sltr.tensor.inner` of ``w`` and the sample, bit
+    for bit.  The iterable is read once, one block of samples at a time, and
+    a sample whose dims differ from ``w``'s raises :class:`ValueError`.
+    """
+    rows = block_rows(w.size)
+    buf = np.empty((rows, w.size))
+    parts = []
+    k = 0
+    for x in xs:
+        if x.dims != w.dims:
+            # Samples before the bad one are summed first, so an error in one
+            # of them is raised ahead of the mismatch, as a row-by-row loop would.
+            dot_rows(buf[:k], w.data)
+            raise ValueError(f"dims mismatch: {w.dims} vs {x.dims}")
+        buf[k] = x.data
+        k += 1
+        if k == rows:
+            parts.append(dot_rows(buf, w.data))
+            k = 0
+    parts.append(dot_rows(buf[:k], w.data))
+    return np.concatenate(parts)
 
 
 def objective_and_gaps(w: np.ndarray, ctr: ConstraintCenter):

@@ -25,6 +25,7 @@ __all__ = [
     "vectorize",
     "tensorize",
     "inner",
+    "dot_rows",
     "frobenius_norm",
     "l1_norm",
     "linf_norm",
@@ -137,14 +138,90 @@ def tensorize(v, dims) -> Tensor:
 
 
 def inner(a: Tensor, b: Tensor) -> float:
-    """Inner product sum_i a_i * b_i.
+    """Inner product ``sum_i a_i * b_i``, correctly rounded.
 
-    Summed with :func:`math.fsum` (correctly rounded), so the value does not
-    depend on platform or BLAS reduction order.
+    Returns exactly ``math.fsum(np.multiply(a.data, b.data))``, bit for bit,
+    so the value does not depend on platform or BLAS reduction order.  It is
+    :func:`dot_rows` on a single row: the same fallback rule applies, and a
+    non-finite or overflowing sum gives ``fsum``'s value or exception.
     """
     if a.dims != b.dims:
         raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return math.fsum(np.multiply(a.data, b.data))
+    return float(dot_rows(a.data[np.newaxis, :], b.data)[0])
+
+
+# Rows per block of dot_rows: about 512 KB of products, so a block's two
+# temporaries stay in cache and add little to peak memory.
+_BLOCK_ELEMENTS = 1 << 16
+_U2 = 2.0**-106  # squared unit roundoff of float64
+
+
+def block_rows(p: int) -> int:
+    """Rows per block for :func:`dot_rows` on rows of ``p`` elements."""
+    return max(1, _BLOCK_ELEMENTS // max(1, p))
+
+
+def dot_rows(x, w) -> np.ndarray:
+    """Correctly rounded dot product of every row of ``x`` with ``w``.
+
+    Entry ``i`` is exactly ``math.fsum(np.multiply(x[i], w))``, bit for bit:
+    the same value, or the same exception type (``ValueError`` for ``inf -
+    inf``, ``OverflowError`` for an overflowing partial sum), raised for the
+    first such row.
+
+    Rows go in blocks of :func:`block_rows` rows.  A row of products ``p``
+    (``P`` entries, largest magnitude ``M < 2**k``) is split against
+    ``sigma = 2**(k + L)``, ``2**L >= P + 2``, into ``q = (p + sigma) - sigma``
+    and ``p - q`` (error-free extraction, Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008).  Every ``q`` is a multiple of ``u * sigma`` no
+    larger than ``2**k``, so ``t1 = sum(q)`` is exact in any order, and
+    ``t2 = sum(p - q)`` is within ``2 P**2 u**2 sigma`` of its exact value.
+    With ``r = fl(t1 + t2)`` and ``err`` its TwoSum error, the row keeps ``r``
+    only if ``|err| + 2 P**2 u**2 sigma < (|r| - nextafter(|r|, 0)) / 2``,
+    which proves that ``r`` is the exact sum rounded to nearest.
+
+    Fallback rule: every row that fails this test is summed by ``math.fsum``.
+    These are the all-zero rows (``r = 0`` leaves no gap), rows with an
+    infinite or NaN product or so large that ``sigma`` overflows (``r`` is
+    NaN), and rows whose sum lies within the bound of a rounding boundary.
+    Gradual underflow keeps each step exact or within the bound, so tiny
+    rows need no special case.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64).ravel()
+    if x.ndim != 2 or x.shape[1] != w.size:
+        raise ValueError(f"x must be N x {w.size}, got {x.shape}")
+    n, p = x.shape
+    if p == 0:
+        return np.zeros(n)
+    out = np.empty(n)
+    big_l = (p + 1).bit_length()  # 2**L >= P + 2
+    bound_factor = 2.0 * p * p * _U2
+    step = block_rows(p)
+    for start in range(0, n, step):
+        blk = x[start : start + step]
+        prod = blk * w
+        with np.errstate(all="ignore"):
+            m = np.maximum(prod.max(axis=1), -prod.min(axis=1))
+            sigma = np.ldexp(1.0, np.frexp(m)[1] + big_l)[:, np.newaxis]
+            q = prod + sigma
+            q -= sigma
+            t1 = q.sum(axis=1)
+            prod -= q
+            t2 = prod.sum(axis=1)
+            r = t1 + t2
+            z = r - t1
+            err = (t1 - (r - z)) + (t2 - z)
+            mag = np.abs(r)
+            ok = np.abs(err) + bound_factor * sigma[:, 0] < 0.5 * (mag - np.nextafter(mag, 0.0))
+        out[start : start + blk.shape[0]] = r
+        for i in np.flatnonzero(~ok):
+            out[start + i] = _fsum_row(blk[i], w)
+    return out
+
+
+def _fsum_row(row, w) -> float:
+    return math.fsum(np.multiply(row, w))
 
 
 def frobenius_norm(t: Tensor) -> float:

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sltr import evaluation
 from sltr.evaluation import auc, fold_indices
+from sltr.exceptions import DivergenceError
+from sltr.simulate import SimSpec, generate
+from sltr.solver import SolverConfig
 
 from oracles import auc_paircount
 
@@ -43,3 +49,37 @@ class TestFoldIndices:
     def test_fold_count_out_of_range(self, n, k):
         with pytest.raises(ValueError):
             fold_indices(n, k, 0)
+
+
+class TestKfoldCvDivergence:
+    def _setup(self, monkeypatch, failing):
+        ds, _ = generate(SimSpec(dims=(3, 3, 2), n=12, seed=4))
+        real_fit = evaluation.fit
+
+        def fit(train, cfg, threads=None):
+            if cfg.lam in failing:
+                raise DivergenceError(f"mode 2: diverged at lam={cfg.lam}")
+            return real_fit(train, cfg, threads=threads)
+
+        monkeypatch.setattr(evaluation, "fit", fit)
+        grid = [(0.1, 1.0, 1.0), (0.5, 1.0, 1.0), (2.0, 1.0, 1.0)]
+        return ds, grid, SolverConfig(lam=1.0, tau=1.0, max_iter=20, parallel_modes=False)
+
+    def test_diverging_cell_is_recorded_not_raised(self, monkeypatch):
+        ds, grid, cfg = self._setup(monkeypatch, failing={0.1})
+        report = evaluation.kfold_cv(ds, grid, cfg, k=3)
+        assert math.isnan(report.per_cell[0])
+        assert all(math.isfinite(v) for v in report.per_cell[1:])
+        assert report.failures == (((0.1, 1.0, 1.0), "mode 2: diverged at lam=0.1"),)
+        finite = {c: v for c, v in zip(report.grid, report.per_cell) if math.isfinite(v)}
+        assert report.selected == min(finite, key=lambda c: (finite[c], c))
+
+    def test_no_failures_on_a_clean_grid(self, monkeypatch):
+        ds, grid, cfg = self._setup(monkeypatch, failing=set())
+        report = evaluation.kfold_cv(ds, grid, cfg, k=3)
+        assert report.failures == () and all(math.isfinite(v) for v in report.per_cell)
+
+    def test_every_cell_diverging_raises(self, monkeypatch):
+        ds, grid, cfg = self._setup(monkeypatch, failing={0.1, 0.5, 2.0})
+        with pytest.raises(DivergenceError, match="every grid cell diverged"):
+            evaluation.kfold_cv(ds, grid, cfg, k=3)

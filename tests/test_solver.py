@@ -16,7 +16,7 @@ from sltr.solver import (
     predict,
     solve_subproblem,
 )
-from sltr.tensor import Tensor, l1_norm, unfold
+from sltr.tensor import Tensor, block_rows, l1_norm, unfold
 
 
 def base_cfg(**kw):
@@ -202,6 +202,46 @@ class TestPredict:
         w = Tensor.zeros((2, 2))
         with pytest.raises(ValueError):
             predict(w, [Tensor.zeros((4,))])
+
+    def test_empty_iterable(self):
+        out = predict(Tensor.zeros((2, 3)), [])
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    def _blocks(self, seed=13):
+        # Big enough samples that a few of them fill a block.
+        dims = (100, 200)
+        r = np.random.default_rng(seed)
+        w = Tensor(dims, r.normal(size=20000))
+        rows = block_rows(w.size)
+        xs = [Tensor(dims, r.normal(size=20000)) for _ in range(2 * rows + 1)]
+        return w, rows, xs
+
+    def test_single_pass_generator_across_blocks(self):
+        w, _, xs = self._blocks()
+        got = predict(w, (x for x in xs))
+        expected = np.array([math.fsum(np.multiply(w.data, x.data)) for x in xs])
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_dims_mismatch_after_first_block(self):
+        w, rows, xs = self._blocks()
+        seen = []
+
+        def gen():
+            for x in xs[: rows + 1]:
+                seen.append(1)
+                yield x
+            yield Tensor.zeros((200, 100))
+            seen.append("past the bad sample")
+
+        with pytest.raises(ValueError, match="dims mismatch"):
+            predict(w, gen())
+        assert len(seen) == rows + 1
+
+    def test_error_in_earlier_sample_wins_over_mismatch(self):
+        # As in a row-by-row loop, fsum's OverflowError on sample 0 comes first.
+        w = Tensor((2,), [1e308, 1e308])
+        with pytest.raises(OverflowError):
+            predict(w, [Tensor((2,), [1.0, 1.0]), Tensor((3,), [1.0, 1.0, 1.0])])
 
 
 class TestObjectiveAndGaps:

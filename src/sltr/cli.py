@@ -9,9 +9,9 @@ one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -56,15 +56,12 @@ def _print_table(header, rows):
 
 
 def _threads(args) -> int:
-    if getattr(args, "sequential", False):
-        return 1
     if args.threads is not None:
         return max(1, args.threads)
     return default_thread_count()
 
 
 def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
-    threads = _threads(args)
     return SolverConfig(
         lam=lam,
         tau=tau,
@@ -73,8 +70,6 @@ def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
         gamma=args.gamma,
         max_iter=args.max_iter,
         tol=args.tol,
-        parallel_modes=threads > 1,
-        parallel_prox=threads > 1,
         paper_faithful_steps=getattr(args, "paper_faithful_steps", False),
     )
 
@@ -90,8 +85,8 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for both parallel layers (default: SLTR_THREADS or CPU count)")
-    p.add_argument("--sequential", action="store_true", help="force single-threaded execution")
+                   help="mode threads, one subproblem each (default: SLTR_THREADS, else 1); "
+                        "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
 
 
 def _build_parser():
@@ -133,7 +128,7 @@ def _build_parser():
     _add_solver_flags(p, with_params=False)
     p.set_defaults(func=_cmd_cv)
 
-    p = sub.add_parser("bench", help="sequential vs parallel fit timings")
+    p = sub.add_parser("bench", help="fit timings on one mode thread against k")
     p.add_argument("--dims-list", required=True, help="comma list, e.g. 10x10x5,20x20x5")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--sparsity", type=float, default=80.0)
@@ -149,7 +144,8 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="k, the mode threads timed against one (default: the CPU count)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("eval", help="score predictions or coefficients")
@@ -229,7 +225,7 @@ def _read_grid(path):
 
 def _cmd_bench(args) -> int:
     rows = []
-    threads = max(1, args.threads) if args.threads is not None else default_thread_count()
+    threads = max(1, args.threads) if args.threads is not None else os.cpu_count() or 1
     for dims_text in args.dims_list.split(","):
         dims = _parse_dims(dims_text)
         p_total = int(np.prod(dims))
@@ -238,28 +234,27 @@ def _cmd_bench(args) -> int:
         else:
             frac = args.n_fraction if args.n_fraction is not None else (0.5 if len(dims) == 2 else 0.08)
             n = max(1, round(frac * p_total))
-        base = SolverConfig(lam=args.lam, tau=args.tau, epsilon=args.epsilon, rho=args.rho,
-                            gamma=args.gamma, max_iter=args.max_iter, tol=args.tol)
-        seq_cfg = replace(base, parallel_modes=False, parallel_prox=False)
-        par_cfg = replace(base, parallel_modes=True, parallel_prox=True)
-        seq_times, par_times = [], []
+        cfg = SolverConfig(lam=args.lam, tau=args.tau, epsilon=args.epsilon, rho=args.rho,
+                           gamma=args.gamma, max_iter=args.max_iter, tol=args.tol)
+        one_times, k_times = [], []
         for trial in range(args.trials):
             ds, _ = generate(SimSpec(dims=dims, n=n, sparsity_pct=args.sparsity,
                                      noise_alpha=args.alpha, seed=args.seed + trial))
             t0 = time.perf_counter()
-            fit(ds, seq_cfg, threads=1)
-            seq_times.append(time.perf_counter() - t0)
+            fit(ds, cfg, threads=1)
+            one_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            fit(ds, par_cfg, threads=threads)
-            par_times.append(time.perf_counter() - t0)
-        seq_mean = float(np.mean(seq_times))
-        par_mean = float(np.mean(par_times))
-        rows.append((dims_text.strip(), n, args.trials,
-                     seq_mean, float(np.var(seq_times)),
-                     par_mean, float(np.var(par_times)),
-                     seq_mean / par_mean if par_mean > 0 else float("inf")))
+            fit(ds, cfg, threads=threads)
+            k_times.append(time.perf_counter() - t0)
+        one_mean = float(np.mean(one_times))
+        k_mean = float(np.mean(k_times))
+        rows.append((dims_text.strip(), n, args.trials, threads,
+                     one_mean, float(np.var(one_times)),
+                     k_mean, float(np.var(k_times)),
+                     one_mean / k_mean if k_mean > 0 else float("inf")))
     _print_table(
-        ("dims", "n", "trials", "seq_mean_s", "seq_var", "par_mean_s", "par_var", "speedup"),
+        ("dims", "n", "trials", "threads", "one_thread_mean_s", "one_thread_var",
+         "threads_mean_s", "threads_var", "speedup"),
         rows,
     )
     return 0

@@ -2,10 +2,11 @@
 
 The spectral work of the solver goes through two Gram-matrix paths: the
 thresholded :func:`svd` kernel, which computes only the singular triplets
-above a threshold, and :func:`nuclear_norm`.  Both use ``eigh`` of the
-smaller Gram matrix (``a a'`` or ``a' a``) and fall back to the LAPACK SVD
-when the eigenvalues they rely on sit too far below the largest one for the
-squared spectrum to resolve them.
+above a threshold, and :func:`nuclear_norm`, which also takes a stack of
+matrices at once.  Both use ``eigh`` of the smaller Gram matrix (``a a'``
+or ``a' a``) and fall back to the LAPACK SVD when the eigenvalues they rely
+on sit too far below the largest one for the squared spectrum to resolve
+them.
 """
 
 from __future__ import annotations
@@ -105,23 +106,27 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(singular_values(a)[0])
 
 
-def nuclear_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a matrix.
+def nuclear_norm(a: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values of a matrix, or of each matrix in a ``(B, m, n)`` stack.
 
     Sums the square roots of the eigenvalues of the smaller Gram matrix,
     each within about ``2e-12 * ||a||_2`` of its singular value.  When the
     smallest eigenvalue is at most ``1e-8`` times the largest (so also for a
-    rank-deficient or zero matrix), or if ``eigvalsh`` fails, it sums the
-    LAPACK singular values instead.
+    rank-deficient or zero matrix), or if ``eigvalsh`` fails or gives NaN
+    (a Gram matrix that overflows), it sums the LAPACK singular values
+    instead.  A stack takes one Gram product and one
+    ``eigvalsh`` for all its matrices, and falls back per matrix; each of its
+    norms equals the norm of that matrix alone, bit for bit.  A matrix gives a
+    ``float``, a stack an array of ``B`` of them.
     """
-    a = _finite_matrix(a)
-    try:
-        lam = np.linalg.eigvalsh(a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a)
-    except np.linalg.LinAlgError:
-        lam = np.zeros(0)
-    if not lam.size or lam[0] <= _GRAM_RTOL * lam[-1]:
-        return float(np.sum(singular_values(a)))
-    return float(np.sum(np.sqrt(lam)))
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError("SVD requires finite entries")
+    if a.ndim == 2:
+        return float(_nuclear_norms(a[None])[0])
+    return _nuclear_norms(a)
 
 
 def tensor_nuclear_norm(t: Tensor) -> float:
@@ -170,6 +175,24 @@ def _finite_matrix(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericalError("SVD requires finite entries")
     return a
+
+
+def _nuclear_norms(a: np.ndarray) -> np.ndarray:
+    """Nuclear norms of the matrices of a finite ``(B, m, n)`` stack."""
+    at = np.swapaxes(a, 1, 2)
+    try:
+        lam = np.linalg.eigvalsh(a @ at if a.shape[1] <= a.shape[2] else at @ a)
+    except np.linalg.LinAlgError:
+        if len(a) > 1:
+            # One failing matrix fails the whole stack: redo each on its own.
+            return np.concatenate([_nuclear_norms(a[i : i + 1]) for i in range(len(a))])
+        lam = np.zeros((1, 0))
+    out = np.empty(len(a))
+    gram = lam[:, 0] > _GRAM_RTOL * lam[:, -1] if lam.shape[1] else np.zeros(len(a), dtype=bool)
+    out[gram] = np.sqrt(lam[gram]).sum(axis=1)
+    for i in np.flatnonzero(~gram):
+        out[i] = np.sum(singular_values(a[i]))
+    return out
 
 
 def _gram_svd(a: np.ndarray, above: float) -> SvdFactors | None:

@@ -140,3 +140,33 @@ def elastic_objective(x, y, w, lam, l1_ratio):
         + lam * l1_ratio * float(np.sum(np.abs(w)))
         + 0.5 * lam * (1.0 - l1_ratio) * float(w @ w)
     )
+
+
+def ppxa_reference(center, ops, rho, tol, max_iter, objective):
+    """PPXA sweeps with the trace objective computed at every sweep, on its own.
+
+    ``ops`` are the four prox/projection operators, applied to the four
+    copies in order; ``objective(x)`` gives the traced objective of the
+    consensus iterate.  Stops once the relative change of the consensus
+    iterate is at most ``tol`` (the absolute change while it is zero) or
+    after ``max_iter`` sweeps.  Returns ``(x, trace)`` with one
+    ``(iteration, relative_change, objective)`` per sweep.
+    """
+    copies = [np.array(center, dtype=float) for _ in range(4)]
+    x = np.array(center, dtype=float)
+    trace = []
+    for t in range(1, max_iter + 1):
+        a = [op(w) for op, w in zip(ops, copies)]
+        abar = (a[0] + a[1] + a[2] + a[3]) / 4.0
+        correction = 2.0 * abar - x
+        for i in range(4):
+            copies[i] += rho * (correction - a[i])
+        x_new = x + rho * (abar - x)
+        change = float(np.linalg.norm(x_new - x))
+        denom = float(np.linalg.norm(x))
+        rel = change / denom if denom > 0 else change
+        x = x_new
+        trace.append((t, rel, objective(x)))
+        if rel <= tol:
+            break
+    return x, trace

@@ -49,3 +49,13 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "missing.tn"), "--data",
                  str(tmp_path / "missing.ds"), "--out", str(tmp_path / "p.txt")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_times_one_thread_against_k(capsys):
+    out = run(capsys, "bench", "--dims-list", "3x3x2,4x3", "--n", 12, "--trials", 2,
+              "--threads", 2, "--max-iter", 10)
+    header, *rows = [line.split("\t") for line in out.splitlines()]
+    assert header == ["dims", "n", "trials", "threads", "one_thread_mean_s", "one_thread_var",
+                      "threads_mean_s", "threads_var", "speedup"]
+    assert [r[:4] for r in rows] == [["3x3x2", "12", "2", "2"], ["4x3", "12", "2", "2"]]
+    assert all(float(v) >= 0 for r in rows for v in r[4:])

@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sltr import evaluation
-from sltr.evaluation import auc, fold_indices
+from sltr.evaluation import (
+    BoundInputs,
+    auc,
+    fold_indices,
+    theorem_bound,
+    three_mode_bound,
+    unfolding_ranks,
+)
 from sltr.exceptions import DivergenceError
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig
+from sltr.tensor import Tensor
 
 from oracles import auc_paircount
 
@@ -63,7 +71,7 @@ class TestKfoldCvDivergence:
 
         monkeypatch.setattr(evaluation, "fit", fit)
         grid = [(0.1, 1.0, 1.0), (0.5, 1.0, 1.0), (2.0, 1.0, 1.0)]
-        return ds, grid, SolverConfig(lam=1.0, tau=1.0, max_iter=20, parallel_modes=False)
+        return ds, grid, SolverConfig(lam=1.0, tau=1.0, max_iter=20)
 
     def test_diverging_cell_is_recorded_not_raised(self, monkeypatch):
         ds, grid, cfg = self._setup(monkeypatch, failing={0.1})
@@ -83,3 +91,72 @@ class TestKfoldCvDivergence:
         ds, grid, cfg = self._setup(monkeypatch, failing={0.1, 0.5, 2.0})
         with pytest.raises(DivergenceError, match="every grid cell diverged"):
             evaluation.kfold_cv(ds, grid, cfg, k=3)
+
+
+def _outer(*vectors):
+    """The rank-1 tensor of the given factor vectors, in the canonical layout."""
+    return np.einsum(",".join("abcd"[: len(vectors)]), *vectors)
+
+
+class TestBounds:
+    def test_theorem_bound_closed_form(self):
+        # sqrt(prod dims) = sqrt(36) = 6 and sqrt(R) = 2: 4 sqrt(2) (0.5 * 6 + 2 * 2)
+        b = BoundInputs(lam=0.5, tau=2.0, dims=(4, 9), orth_rank=4)
+        assert theorem_bound(b) == pytest.approx(28.0 * math.sqrt(2.0), rel=1e-15)
+
+    def test_theorem_bound_is_zero_at_zero_radii(self):
+        assert theorem_bound(BoundInputs(lam=0.0, tau=0.0, dims=(3, 3), orth_rank=2)) == 0.0
+
+    def test_three_mode_bound_closed_form(self):
+        # R' = max(sqrt(1 * 2), sqrt(2 * 1), sqrt(4 * 1)) = 2 and sqrt(2 * 2 * 4) = 4
+        b = BoundInputs(lam=0.25, tau=1.5, dims=(2, 2, 4), mode_ranks=(1, 2, 4))
+        assert three_mode_bound(b) == pytest.approx(4.0 * math.sqrt(2.0) * 4.0, rel=1e-15)
+
+    def test_three_mode_bound_takes_the_largest_product(self):
+        # R' = max(sqrt(3 * 1), sqrt(1 * 2), sqrt(2 * 1)) = sqrt(3)
+        b = BoundInputs(lam=0.0, tau=1.0, dims=(3, 3, 2), mode_ranks=(3, 1, 2))
+        assert three_mode_bound(b) == pytest.approx(4.0 * math.sqrt(2.0) * math.sqrt(3.0),
+                                                    rel=1e-15)
+
+    def test_bounds_need_their_inputs(self):
+        with pytest.raises(ValueError, match="orth_rank"):
+            theorem_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2)))
+        with pytest.raises(ValueError, match="mode_ranks"):
+            three_mode_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2, 2)))
+        with pytest.raises(ValueError, match="3-mode"):
+            three_mode_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2), mode_ranks=(1, 1)))
+
+    @pytest.mark.parametrize("kw", [
+        dict(lam=-1.0),
+        dict(tau=-0.5),
+        dict(orth_rank=0),
+        dict(mode_ranks=(1, 1)),
+        dict(mode_ranks=(1, 1, 1, 1)),
+        dict(mode_ranks=(3, 1, 1)),  # a 2 x 3 x 4 tensor's mode-1 unfolding has rank <= 2
+        dict(mode_ranks=(2, 3, -1)),
+    ])
+    def test_bound_inputs_validation(self, kw):
+        args = dict(lam=1.0, tau=1.0, dims=(2, 3, 4))
+        args.update(kw)
+        with pytest.raises(ValueError):
+            BoundInputs(**args)
+
+    def test_bound_inputs_normalise_to_int_tuples(self):
+        b = BoundInputs(lam=1.0, tau=1.0, dims=[2.0, 3, 4], mode_ranks=[2, 3.0, 4])
+        assert b.dims == (2, 3, 4) and b.mode_ranks == (2, 3, 4)
+        assert all(type(v) is int for v in b.dims + b.mode_ranks)
+
+    def test_unfolding_ranks(self):
+        r = np.random.default_rng(0)
+        rank_one = _outer(*(r.normal(size=p) for p in (2, 3, 4)))
+        rank_two = rank_one + _outer(*(r.normal(size=p) for p in (2, 3, 4)))
+        assert unfolding_ranks(Tensor.from_array(rank_one)) == (1, 1, 1)
+        assert unfolding_ranks(Tensor.from_array(rank_two)) == (2, 2, 2)
+        assert unfolding_ranks(Tensor.from_array(r.normal(size=(2, 3, 4)))) == (2, 3, 4)
+        assert unfolding_ranks(Tensor.zeros((2, 3, 4))) == (0, 0, 0)
+
+    def test_unfolding_ranks_threshold(self):
+        # singular values 1 and 1e-6 on every unfolding of a 2 x 2 x 1 tensor
+        t = Tensor.from_array(np.diag([1.0, 1e-6])[:, :, None])
+        assert unfolding_ranks(t) == (2, 2, 1)
+        assert unfolding_ranks(t, rtol=1e-5) == (1, 1, 1)

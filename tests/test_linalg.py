@@ -221,6 +221,75 @@ class TestSpectralNuclear:
         assert nuclear_norm(a) >= spectral_norm(a) >= 0.0
 
 
+class TestStackedNuclearNorm:
+    """A (B, m, n) stack gives each matrix's own nuclear norm, bit for bit."""
+
+    @staticmethod
+    def _stack(m, n, seed):
+        r = np.random.default_rng(seed)
+        k = min(m, n)
+        return np.stack([
+            r.normal(size=(m, n)),  # full rank: the Gram path
+            r.normal(size=(m, 2)) @ r.normal(size=(2, n)),  # rank 2: the LAPACK fallback
+            np.zeros((m, n)),
+            _with_spectrum(np.logspace(0, -3, k), m, n, seed),  # just above the fallback bound
+            _with_spectrum(np.logspace(0, -5, k), m, n, seed + 1),  # just below it
+            r.normal(size=(m, n)) * 1e-200,
+        ])
+
+    @pytest.mark.parametrize("shape", [(10, 50), (50, 10), (6, 6), (1, 9), (9, 1)])
+    def test_equals_per_matrix_bit_for_bit(self, shape):
+        a = self._stack(*shape, seed=sum(shape))
+        got = nuclear_norm(a)
+        assert got.shape == (len(a),) and got.dtype == np.float64
+        expected = np.array([nuclear_norm(m) for m in a])
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # one stack of one matrix, and a non-contiguous stack, agree too
+        np.testing.assert_array_equal(nuclear_norm(a[1:2]), expected[1:2])
+        np.testing.assert_array_equal(nuclear_norm(a[::2]), expected[::2])
+
+    def test_matrix_gives_float(self):
+        a = np.random.default_rng(0).normal(size=(4, 7))
+        assert type(nuclear_norm(a)) is float
+        assert nuclear_norm(a) == nuclear_norm(a[None])[0]
+
+    def test_empty_stack(self):
+        assert nuclear_norm(np.zeros((0, 3, 4))).shape == (0,)
+
+    def test_eigvalsh_failure_on_the_stack_falls_back_per_matrix(self, monkeypatch):
+        a = self._stack(10, 50, seed=1)
+        expected = np.array([nuclear_norm(m) for m in a])
+        real = np.linalg.eigvalsh
+
+        def fail_on_stacks(g):
+            if g.shape[0] > 1:
+                raise np.linalg.LinAlgError("did not converge")
+            return real(g)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_stacks)
+        np.testing.assert_array_equal(nuclear_norm(a).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_matrix_falls_back(self):
+        # a a' holds inf and finite entries, and eigvalsh returns NaN without raising
+        a = np.array([[1e200, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        expected = float(np.sum(np.linalg.svd(a, compute_uv=False)))
+        assert nuclear_norm(a) == expected
+        assert nuclear_norm(np.stack([a, np.eye(2, 3)])).tolist() == [expected, 2.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slice_rejected(self, bad):
+        a = self._stack(5, 8, seed=2)
+        a[3, 1, 2] = bad
+        with pytest.raises(NumericalError):
+            nuclear_norm(a)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 5)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ValueError):
+            nuclear_norm(np.ones(shape))
+
+
 class TestBackbone:
     def test_identity_design(self):
         y = np.array([1.0, -2.0, 3.0, 0.5])

@@ -4,10 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sltr.linalg
+from sltr import solver
 from sltr.data import Dataset
-from sltr.exceptions import NumericalError
-from sltr.linalg import backbone
-from sltr.prox import ConstraintCenter
+from sltr.exceptions import DivergenceError, NumericalError
+from sltr.linalg import backbone, nuclear_norm
+from sltr.prox import (
+    ConstraintCenter,
+    project_linf_ball,
+    project_spectral_ball,
+    prox_l1,
+    prox_nuclear,
+)
 from sltr.simulate import SimSpec, generate
 from sltr.solver import (
     SolverConfig,
@@ -18,9 +26,11 @@ from sltr.solver import (
 )
 from sltr.tensor import Tensor, block_rows, l1_norm, unfold
 
+from oracles import ppxa_reference
+
 
 def base_cfg(**kw):
-    defaults = dict(lam=0.5, tau=1.0, parallel_modes=False)
+    defaults = dict(lam=0.5, tau=1.0)
     defaults.update(kw)
     return SolverConfig(**defaults)
 
@@ -94,6 +104,51 @@ class TestSubproblem:
         with pytest.raises(NumericalError):
             solve_subproblem(1, center, (2, 2), base_cfg())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_iterate_raises_divergence(self):
+        # The four copies sum past the largest double on the first sweep.
+        center = np.full((3, 4), 1.5e308)
+        center[1] *= -1.0
+        with pytest.raises(DivergenceError, match="non-finite iterate change at iteration 1"):
+            solve_subproblem(1, center, (3, 4), base_cfg())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_trace_holds_the_finite_sweeps(self, monkeypatch):
+        calls = []
+
+        def prox_l1_failing_on_sweep_5(v, gamma):
+            calls.append(1)
+            out = prox_l1(v, gamma)
+            if len(calls) == 5:
+                out[0, 0] = np.inf
+            return out
+
+        center = np.random.default_rng(1).normal(size=(4, 6))
+        cfg = base_cfg(tol=1e-12)
+        _, expected = solve_subproblem(1, center, (4, 6), replace(cfg, max_iter=4))
+        monkeypatch.setattr(solver, "prox_l1", prox_l1_failing_on_sweep_5)
+        with pytest.raises(DivergenceError, match="at iteration 5") as err:
+            solve_subproblem(1, center, (4, 6), cfg)
+        assert err.value.trace == expected
+
+    def test_growing_change_raises_with_the_trace_through_that_sweep(self, monkeypatch):
+        calls = []
+
+        def prox_l1_jumping_on_sweep_5(v, gamma):
+            calls.append(1)
+            out = prox_l1(v, gamma)
+            return out * 1e12 if len(calls) == 5 else out
+
+        center = np.random.default_rng(1).normal(size=(4, 6))
+        cfg = base_cfg(tol=1e-12)
+        _, expected = solve_subproblem(1, center, (4, 6), replace(cfg, max_iter=4))
+        monkeypatch.setattr(solver, "prox_l1", prox_l1_jumping_on_sweep_5)
+        with pytest.raises(DivergenceError, match="by iteration 5") as err:
+            solve_subproblem(1, center, (4, 6), cfg)
+        trace = err.value.trace
+        assert len(trace) == 5 and trace[:4] == expected and trace[4][0] == 5
+        assert trace[4][1] > 1e6 * trace[0][1]
+
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_smoothed_change_is_non_increasing(self, seed):
         r = np.random.default_rng(seed)
@@ -114,6 +169,59 @@ class TestSubproblem:
             1, center, (5, 4), base_cfg(paper_faithful_steps=True, **tight)
         )
         assert np.linalg.norm(w_default - w_faithful) <= 1e-5
+
+
+class TestTraceObjective:
+    """Traced objectives, computed a block of sweeps at a time, against one sweep at a time."""
+
+    def _reference(self, center, cfg):
+        ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
+        ops = (
+            lambda w: prox_l1(w, cfg.gamma),
+            lambda w: prox_nuclear(w, cfg.gamma),
+            lambda w: project_linf_ball(w, ctr),
+            lambda w: project_spectral_ball(w, ctr),
+        )
+        return ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter,
+                              lambda x: float(np.sum(np.abs(x))) + nuclear_norm(x))
+
+    @pytest.mark.parametrize("block_sweeps", [None, 7])
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_two"])
+    def test_matches_per_sweep_computation(self, kind, block_sweeps, monkeypatch):
+        r = np.random.default_rng(5)
+        if kind == "full_rank":
+            center = r.normal(size=(10, 50))
+        else:
+            # Its iterates are rank-deficient on about half the sweeps, which
+            # takes nuclear_norm's LAPACK fallback.
+            center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
+        if block_sweeps is not None:
+            monkeypatch.setattr(solver, "_TRACE_BLOCK_BYTES", block_sweeps * center.nbytes)
+        block = solver._TRACE_BLOCK_BYTES // center.nbytes
+        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=block + 150)
+        fallbacks = []
+        singular_values = sltr.linalg.singular_values
+        monkeypatch.setattr(sltr.linalg, "singular_values",
+                            lambda a: fallbacks.append(1) or singular_values(a))
+
+        w, trace = solve_subproblem(1, center, (10, 50), cfg)
+        batched_fallbacks = len(fallbacks)
+        x, expected = self._reference(center, cfg)
+
+        assert len(trace) > block
+        assert trace == expected
+        np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
+        if kind == "rank_two":
+            assert 0 < batched_fallbacks < len(trace)
+        else:
+            assert batched_fallbacks == 0
+
+    def test_converged_run_is_flushed(self):
+        center = np.random.default_rng(6).normal(size=(6, 8))
+        cfg = base_cfg(lam=0.3, tau=1.0, gamma=0.3)
+        _, trace = solve_subproblem(1, center, (6, 8), cfg)
+        _, expected = self._reference(center, cfg)
+        assert 1 < len(trace) < cfg.max_iter and trace == expected
 
 
 class TestFit:
@@ -137,8 +245,9 @@ class TestFit:
 
     def test_parallel_and_sequential_bit_identical(self):
         ds = self._dataset(seed=3)
-        seq = fit(ds, base_cfg(lam=0.2, tau=0.6, parallel_modes=False, parallel_prox=False), threads=1)
-        par = fit(ds, base_cfg(lam=0.2, tau=0.6, parallel_modes=True, parallel_prox=True), threads=4)
+        cfg = base_cfg(lam=0.2, tau=0.6)
+        seq = fit(ds, cfg, threads=1)
+        par = fit(ds, cfg, threads=4)
         assert np.array_equal(seq.w_hat.data, par.w_hat.data)
         for a, b in zip(seq.per_mode, par.per_mode):
             assert np.array_equal(a.data, b.data)

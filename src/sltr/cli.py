@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ``simulate``, ``fit``, ``predict``, ``cv``, ``bench``, ``eval``.
+Subcommands: ``simulate``, ``fit``, ``predict``, ``cv``, ``eval``.
 All report tables are tab-separated with a header row; binary artifacts use
 the formats in :mod:`sltr.io`.  Exit code 0 on success, nonzero with a
 one-line diagnostic on error.
@@ -9,18 +9,15 @@ one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 
 import numpy as np
 
 from . import io as sio
-from .data import Dataset
 from .evaluation import auc, coefficient_error, default_grid, kfold_cv, mse
 from .exceptions import SltrError
 from .simulate import SimSpec, generate
-from .solver import SolverConfig, default_thread_count, fit, predict
+from .solver import SolverConfig, fit, predict
 
 __all__ = ["main"]
 
@@ -55,12 +52,6 @@ def _print_table(header, rows):
         print("\t".join(repr(c) if isinstance(c, float) else str(c) for c in row))
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return default_thread_count()
-
-
 def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
     return SolverConfig(
         lam=lam,
@@ -85,7 +76,7 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--threads", type=int, default=None,
-                   help="mode threads, one subproblem each (default: SLTR_THREADS, else 1); "
+                   help="mode threads, one subproblem each (default: 1); "
                         "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
 
 
@@ -128,26 +119,6 @@ def _build_parser():
     _add_solver_flags(p, with_params=False)
     p.set_defaults(func=_cmd_cv)
 
-    p = sub.add_parser("bench", help="fit timings on one mode thread against k")
-    p.add_argument("--dims-list", required=True, help="comma list, e.g. 10x10x5,20x20x5")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--sparsity", type=float, default=80.0)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=None, help="override the sample count")
-    p.add_argument("--n-fraction", type=float, default=None,
-                   help="samples as a fraction of prod(dims); default 0.08 (0.5 for 2-mode)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="k, the mode threads timed against one (default: the CPU count)")
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("eval", help="score predictions or coefficients")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
@@ -172,7 +143,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     ds = sio.read_dataset(args.data)
     cfg = _solver_config(args, args.lam, args.tau, args.epsilon)
-    result = fit(ds, cfg, threads=_threads(args))
+    result = fit(ds, cfg, threads=args.threads)
     sio.write_tensor(args.out, result.w_hat)
     rows = []
     for m, trace in enumerate(result.trace, start=1):
@@ -197,7 +168,7 @@ def _cmd_cv(args) -> int:
     grid = _read_grid(args.grid_file) if args.grid_file else default_grid()
     template = _solver_config(args, lam=1.0, tau=1.0, epsilon=1.0)
     report = kfold_cv(ds, grid, template, k=args.folds, fold_seed=args.seed,
-                      threads=_threads(args))
+                      threads=args.threads)
     rows = [
         (lam, tau, eps, cell, int((lam, tau, eps) == report.selected))
         for (lam, tau, eps), cell in zip(report.grid, report.per_cell)
@@ -221,43 +192,6 @@ def _read_grid(path):
             raise ValueError(f"grid row needs 3 columns (lambda, tau, epsilon): {ln!r}")
         cells.append(tuple(float(p) for p in parts))
     return cells
-
-
-def _cmd_bench(args) -> int:
-    rows = []
-    threads = max(1, args.threads) if args.threads is not None else os.cpu_count() or 1
-    for dims_text in args.dims_list.split(","):
-        dims = _parse_dims(dims_text)
-        p_total = int(np.prod(dims))
-        if args.n is not None:
-            n = args.n
-        else:
-            frac = args.n_fraction if args.n_fraction is not None else (0.5 if len(dims) == 2 else 0.08)
-            n = max(1, round(frac * p_total))
-        cfg = SolverConfig(lam=args.lam, tau=args.tau, epsilon=args.epsilon, rho=args.rho,
-                           gamma=args.gamma, max_iter=args.max_iter, tol=args.tol)
-        one_times, k_times = [], []
-        for trial in range(args.trials):
-            ds, _ = generate(SimSpec(dims=dims, n=n, sparsity_pct=args.sparsity,
-                                     noise_alpha=args.alpha, seed=args.seed + trial))
-            t0 = time.perf_counter()
-            fit(ds, cfg, threads=1)
-            one_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            fit(ds, cfg, threads=threads)
-            k_times.append(time.perf_counter() - t0)
-        one_mean = float(np.mean(one_times))
-        k_mean = float(np.mean(k_times))
-        rows.append((dims_text.strip(), n, args.trials, threads,
-                     one_mean, float(np.var(one_times)),
-                     k_mean, float(np.var(k_times)),
-                     one_mean / k_mean if k_mean > 0 else float("inf")))
-    _print_table(
-        ("dims", "n", "trials", "threads", "one_thread_mean_s", "one_thread_var",
-         "threads_mean_s", "threads_var", "speedup"),
-        rows,
-    )
-    return 0
 
 
 def _sniff(path):

@@ -54,7 +54,7 @@ class Dataset:
         return self.x.shape[0]
 
     def sample(self, i: int) -> Tensor:
-        """Tensor view of sample ``i``."""
+        """Sample ``i`` as a new tensor (a copy of row ``i`` of ``x``)."""
         return Tensor(self.dims, self.x[i])
 
     def samples(self):

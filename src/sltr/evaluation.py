@@ -61,7 +61,7 @@ class BoundInputs:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
-        if self.lam < 0 or self.tau < 0:
+        if not (self.lam >= 0 and self.tau >= 0):
             raise ValueError("lambda and tau must be non-negative")
         if self.orth_rank is not None and self.orth_rank < 1:
             raise ValueError(f"orth_rank must be >= 1, got {self.orth_rank}")

@@ -38,9 +38,9 @@ class ConstraintCenter:
     tau: float
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
     def check_shape(self, v: np.ndarray) -> None:
@@ -50,7 +50,7 @@ class ConstraintCenter:
 
 def prox_l1(v: np.ndarray, gamma: float) -> np.ndarray:
     """Soft thresholding: the prox of ``gamma * ||.||_1`` at ``v``."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
@@ -60,7 +60,7 @@ def prox_nuclear(v: np.ndarray, gamma: float) -> np.ndarray:
 
     Only the triplets with ``s > gamma`` survive; each is shrunk by ``gamma``.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     f = svd(v, above=gamma)
     return (f.u * (f.s - gamma)) @ f.v.T

@@ -17,12 +17,12 @@ sweep is computed for a block of sweeps at once, by one stacked
 :func:`~sltr.linalg.nuclear_norm` call.
 
 The mode subproblems are independent, so they may run on mode threads.
-These are opt-in (``fit(..., threads=k)``, the CLI's ``--threads k`` or the
-``SLTR_THREADS`` environment variable) and the default is one, because a
-sweep of a small mode is mostly short numpy calls that hold the interpreter
-lock: two mode threads take turns and cost more CPU for little or no wall
-time.  They pay on large modes.  Measured on 2 cores with BLAS at one
-thread (wall time, median of 5 fits, lambda = tau = epsilon = 1):
+These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
+the default is one, because a sweep of a small mode is mostly short numpy
+calls that hold the interpreter lock: two mode threads take turns and cost
+more CPU for little or no wall time.  They pay on large modes.  Measured
+on 2 cores with BLAS at one thread (wall time, median of 5 fits, lambda =
+tau = epsilon = 1):
 
     =================  ==========  ===========
     shape, samples     one thread  two threads
@@ -42,7 +42,6 @@ and the modes are averaged in a fixed order.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -96,19 +95,19 @@ class SolverConfig:
     paper_faithful_steps: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.rho < 2:
             raise ValueError(f"rho must lie in (0, 2), got {self.rho}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
@@ -137,17 +136,11 @@ class FitResult:
 
 
 def default_thread_count() -> int:
-    """Mode threads of a fit: the SLTR_THREADS environment variable, else 1.
+    """Mode threads of a fit when none are given: 1.
 
     Mode threads are opt-in: they pay only on large modes, and need BLAS
     pinned to one thread (see the module notes).
     """
-    env = os.environ.get("SLTR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     return 1
 
 
@@ -238,10 +231,10 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     Computes the backbone once, solves the M mode subproblems, and averages
     the folded per-mode solutions.  ``threads`` mode subproblems run at a
     time, each on its own thread; the default is
-    :func:`default_thread_count`, which is one unless ``SLTR_THREADS`` is
-    set.  More than one pays only on large modes (see the module notes) and
-    wants BLAS pinned to one thread.  Output, traces included, is identical
-    for identical ``(ds, cfg)`` at every thread count.
+    :func:`default_thread_count`, one.  More than one pays only on large
+    modes (see the module notes) and wants BLAS pinned to one thread.
+    Output, traces included, is identical for identical ``(ds, cfg)`` at
+    every thread count.
     """
     t_start = time.perf_counter()
     t0 = time.perf_counter()

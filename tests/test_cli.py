@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 
 from sltr import io as sio
 from sltr.cli import main
+from sltr.evaluation import auc, kfold_cv
+from sltr.simulate import SimSpec, generate
+from sltr.solver import SolverConfig
 
 
 def run(capsys, *argv):
@@ -9,6 +13,13 @@ def run(capsys, *argv):
     out, err = capsys.readouterr()
     assert code == 0, err
     return out
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "sim.ds"
+    sio.write_dataset(path, generate(SimSpec(dims=(4, 3, 2), n=30, seed=5))[0])
+    return path
 
 
 def read_predictions(path):
@@ -51,11 +62,55 @@ def test_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_bench_times_one_thread_against_k(capsys):
-    out = run(capsys, "bench", "--dims-list", "3x3x2,4x3", "--n", 12, "--trials", 2,
-              "--threads", 2, "--max-iter", 10)
+@pytest.mark.parametrize("command", ["simulate", "fit", "predict", "cv", "eval"])
+def test_subcommand_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: sltr {command}")
+
+
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    assert main(["bench"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_nan_parameter_is_bad_input(data, tmp_path, capsys):
+    assert main(["fit", "--data", str(data), "--lambda", "nan", "--tau", "1",
+                 "--out", str(tmp_path / "w.tn")]) == 1
+    assert capsys.readouterr().err == "error: lambda must be positive, got nan\n"
+    assert not (tmp_path / "w.tn").exists()
+
+
+def test_cv_selects_the_api_cell(data, tmp_path, capsys):
+    grid = [(1.0, 1.0, 1.0), (0.1, 0.1, 1.0), (10.0, 10.0, 1.0)]
+    grid_file = tmp_path / "grid.tsv"
+    grid_file.write_text("lambda\ttau\tepsilon\n"
+                         + "".join("\t".join(map(str, cell)) + "\n" for cell in grid))
+    out = run(capsys, "cv", "--data", data, "--grid-file", grid_file, "--folds", 3,
+              "--seed", 2, "--max-iter", 30)
     header, *rows = [line.split("\t") for line in out.splitlines()]
-    assert header == ["dims", "n", "trials", "threads", "one_thread_mean_s", "one_thread_var",
-                      "threads_mean_s", "threads_var", "speedup"]
-    assert [r[:4] for r in rows] == [["3x3x2", "12", "2", "2"], ["4x3", "12", "2", "2"]]
-    assert all(float(v) >= 0 for r in rows for v in r[4:])
+    assert header == ["lambda", "tau", "epsilon", "mean_mse", "selected"]
+    assert [tuple(float(v) for v in r[:3]) for r in rows] == grid
+
+    report = kfold_cv(sio.read_dataset(data), grid,
+                      SolverConfig(lam=1.0, tau=1.0, epsilon=1.0, max_iter=30), k=3, fold_seed=2)
+    assert [float(r[3]) for r in rows] == list(report.per_cell)
+    assert [r[4] for r in rows].count("1") == 1
+    assert [tuple(float(v) for v in r[:3]) for r in rows if r[4] == "1"] == [report.selected]
+
+
+def test_cv_rejects_a_two_column_grid_row(data, tmp_path, capsys):
+    grid_file = tmp_path / "grid.tsv"
+    grid_file.write_text("lambda\ttau\tepsilon\n1.0\t1.0\t1.0\n1.0\t1.0\n")
+    assert main(["cv", "--data", str(data), "--grid-file", str(grid_file)]) == 1
+    assert "grid row needs 3 columns" in capsys.readouterr().err
+
+
+def test_eval_auc_matches_the_api(tmp_path, capsys):
+    r = np.random.default_rng(3)
+    scores = r.normal(size=40).tolist()
+    labels = (np.array(scores) + r.normal(size=40) > 0).astype(int).tolist()
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    pred.write_text("y_hat\n" + "".join(f"{v!r}\n" for v in scores))
+    truth.write_text("label\n" + "".join(f"{v}\n" for v in labels))
+    out = run(capsys, "eval", "--pred", pred, "--truth", truth, "--metric", "auc")
+    assert out == f"{auc(scores, labels)!r}\n"

@@ -134,6 +134,8 @@ class TestBounds:
         dict(mode_ranks=(1, 1, 1, 1)),
         dict(mode_ranks=(3, 1, 1)),  # a 2 x 3 x 4 tensor's mode-1 unfolding has rank <= 2
         dict(mode_ranks=(2, 3, -1)),
+        dict(lam=math.nan),
+        dict(tau=math.nan),
     ])
     def test_bound_inputs_validation(self, kw):
         args = dict(lam=1.0, tau=1.0, dims=(2, 3, 4))

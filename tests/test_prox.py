@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,3 +173,18 @@ class TestConstraintCenter:
             ConstraintCenter(np.zeros((2, 2)), 0.0, 1.0)
         with pytest.raises(ValueError):
             ConstraintCenter(np.zeros((2, 2)), 1.0, -1.0)
+
+    def test_infinite_radii_accepted(self):
+        ctr = ConstraintCenter(np.zeros((2, 2)), math.inf, math.inf)
+        assert ctr.lam == ctr.tau == math.inf
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstraintCenter(np.zeros((2, 2)), math.nan, 1.0),
+    lambda: ConstraintCenter(np.zeros((2, 2)), 1.0, math.nan),
+    lambda: prox_l1(_mat(1), math.nan),
+    lambda: prox_nuclear(_mat(1), math.nan),
+], ids=["center-lam", "center-tau", "prox_l1-gamma", "prox_nuclear-gamma"])
+def test_nan_parameter_rejected(make):
+    with pytest.raises(ValueError, match="must be positive"):
+        make()

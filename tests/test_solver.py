@@ -47,11 +47,21 @@ class TestConfig:
             ("gamma", 0.0),
             ("max_iter", 0),
             ("tol", 0.0),
+            ("lam", math.nan),
+            ("tau", math.nan),
+            ("epsilon", math.nan),
+            ("rho", math.nan),
+            ("gamma", math.nan),
+            ("tol", math.nan),
         ],
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             replace(base_cfg(), **{field: value})
+
+    def test_infinite_radii_accepted(self):
+        cfg = base_cfg(lam=math.inf, tau=math.inf)
+        assert cfg.lam == cfg.tau == math.inf
 
 
 class TestSubproblem:

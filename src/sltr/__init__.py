@@ -18,7 +18,16 @@ from .exceptions import DivergenceError, FormatError, NumericalError, SltrError
 from .linalg import Backbone, SvdFactors, backbone, spectral_norm, svd, tensor_nuclear_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
 from .simulate import SimSpec, generate
-from .solver import FitResult, SolverConfig, fit, objective_and_gaps, predict, solve_subproblem
+from .solver import (
+    Certificate,
+    FitResult,
+    ModeTrace,
+    SolverConfig,
+    fit,
+    objective_and_gaps,
+    predict,
+    solve_subproblem,
+)
 from .tensor import (
     Tensor,
     fold,
@@ -37,12 +46,14 @@ __all__ = [
     "BaselineConfig",
     "Backbone",
     "BoundInputs",
+    "Certificate",
     "ConstraintCenter",
     "CvReport",
     "Dataset",
     "DivergenceError",
     "FitResult",
     "FormatError",
+    "ModeTrace",
     "NumericalError",
     "SimSpec",
     "SltrError",

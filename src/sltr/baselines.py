@@ -29,13 +29,13 @@ class BaselineConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not 0.0 <= self.l1_ratio <= 1.0:
             raise ValueError(f"l1_ratio must lie in [0, 1], got {self.l1_ratio}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 

@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``fit``, ``predict``, ``cv``, ``eval``.
-All report tables are tab-separated with a header row; binary artifacts use
-the formats in :mod:`sltr.io`.  Exit code 0 on success, nonzero with a
-one-line diagnostic on error.
+All report tables are tab-separated with a header row; ``fit`` prints two,
+the residual of every sweep and then one certificate row per mode, with an
+empty line between them.  Binary artifacts use the formats in
+:mod:`sltr.io`.  Exit code 0 on success, nonzero with a one-line diagnostic
+on error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,6 +23,9 @@ from .simulate import SimSpec, generate
 from .solver import SolverConfig, fit, predict
 
 __all__ = ["main"]
+
+# The solver flags take their defaults from SolverConfig, so the two never disagree.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 
 def main(argv=None) -> int:
@@ -70,11 +76,17 @@ def _add_solver_flags(p, with_params=True):
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="entrywise constraint radius")
         p.add_argument("--tau", type=float, required=True, help="spectral constraint radius")
-        p.add_argument("--epsilon", type=float, default=1.0, help="backbone ridge parameter")
-    p.add_argument("--rho", type=float, default=1.0, help="relaxation factor in (0, 2)")
-    p.add_argument("--gamma", type=float, default=1.0, help="prox step size for the norm terms")
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-3)
+        p.add_argument("--epsilon", type=float, default=_DEFAULTS["epsilon"],
+                       help="backbone ridge parameter")
+    p.add_argument("--rho", type=float, default=_DEFAULTS["rho"],
+                   help="relaxation factor in (0, 2) (default: %(default)s)")
+    p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"],
+                   help="prox step size for the norm terms (default: %(default)s)")
+    p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iter"],
+                   help="sweeps per mode subproblem at most (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
+                   help="stop a mode once a sweep's residual, relative to the state, "
+                        "is at most this (default: %(default)s)")
     p.add_argument("--threads", type=int, default=None,
                    help="mode threads, one subproblem each (default: 1); "
                         "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
@@ -145,10 +157,16 @@ def _cmd_fit(args) -> int:
     cfg = _solver_config(args, args.lam, args.tau, args.epsilon)
     result = fit(ds, cfg, threads=args.threads)
     sio.write_tensor(args.out, result.w_hat)
-    rows = []
+    sweeps, certificates = [], []
     for m, trace in enumerate(result.trace, start=1):
-        rows.extend((m, it, rel, obj) for it, rel, obj in trace)
-    _print_table(("mode", "iteration", "relative_change", "objective"), rows)
+        sweeps.extend((m, it, rel) for it, rel in enumerate(trace.residuals, start=1))
+        c = trace.certificate
+        certificates.append((m, len(trace), c.objective, c.linf_violation,
+                             c.spectral_violation, c.gap, c.exit))
+    _print_table(("mode", "iteration", "residual"), sweeps)
+    print()
+    _print_table(("mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap",
+                  "exit"), certificates)
     return 0
 
 

@@ -14,7 +14,7 @@ class DivergenceError(NumericalError):
 
     Attributes
     ----------
-    trace : list of (iteration, relative_change, objective) tuples
+    trace : list of the relative residuals of the sweeps run, one float per sweep
     """
 
     def __init__(self, message, trace=None):

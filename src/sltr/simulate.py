@@ -52,7 +52,7 @@ class SimSpec:
             raise ValueError(f"need at least one sample, got n={self.n}")
         if not 0.0 <= self.sparsity_pct <= 100.0:
             raise ValueError(f"sparsity_pct must lie in [0, 100], got {self.sparsity_pct}")
-        if self.noise_alpha < 0:
+        if not self.noise_alpha >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha}")
         if self.low_rank is not None and self.low_rank < 1:
             raise ValueError(f"low_rank must be >= 1, got {self.low_rank}")

@@ -142,31 +142,30 @@ def elastic_objective(x, y, w, lam, l1_ratio):
     )
 
 
-def ppxa_reference(center, ops, rho, tol, max_iter, objective):
-    """PPXA sweeps with the trace objective computed at every sweep, on its own.
+def ppxa_reference(center, ops, rho, tol, max_iter):
+    """PPXA sweeps, one copy at a time, stopped by the residual of the whole state.
 
     ``ops`` are the four prox/projection operators, applied to the four
-    copies in order; ``objective(x)`` gives the traced objective of the
-    consensus iterate.  Stops once the relative change of the consensus
-    iterate is at most ``tol`` (the absolute change while it is zero) or
-    after ``max_iter`` sweeps.  Returns ``(x, trace)`` with one
-    ``(iteration, relative_change, objective)`` per sweep.
+    copies in order.  Each sweep records the relative residual
+    ``||y+ - y|| / max(||y||, 1)``, the Frobenius norms taken over all four
+    copies ``y``; the run stops once it is at most ``tol`` or after
+    ``max_iter`` sweeps.  Returns ``(x, residuals, y, p)``: the consensus
+    iterate, the residual of each sweep, and the copies and operator outputs
+    of the last sweep, as they were before its update.
     """
     copies = [np.array(center, dtype=float) for _ in range(4)]
     x = np.array(center, dtype=float)
-    trace = []
-    for t in range(1, max_iter + 1):
+    residuals = []
+    for _ in range(max_iter):
         a = [op(w) for op, w in zip(ops, copies)]
         abar = (a[0] + a[1] + a[2] + a[3]) / 4.0
-        correction = 2.0 * abar - x
+        steps = [2.0 * abar - x - a[i] for i in range(4)]
+        size = float(np.linalg.norm(np.stack(copies)))
+        residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / max(size, 1.0))
+        last = [w.copy() for w in copies]
         for i in range(4):
-            copies[i] += rho * (correction - a[i])
-        x_new = x + rho * (abar - x)
-        change = float(np.linalg.norm(x_new - x))
-        denom = float(np.linalg.norm(x))
-        rel = change / denom if denom > 0 else change
-        x = x_new
-        trace.append((t, rel, objective(x)))
-        if rel <= tol:
+            copies[i] += rho * steps[i]
+        x += rho * (abar - x)
+        if residuals[-1] <= tol:
             break
-    return x, trace
+    return x, residuals, last, a

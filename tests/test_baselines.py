@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ class TestConfig:
             BaselineConfig(lam=1.0, l1_ratio=1.5)
         with pytest.raises(ValueError):
             BaselineConfig(lam=1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            BaselineConfig(lam=math.nan)
+        with pytest.raises(ValueError):
+            BaselineConfig(lam=1.0, tol=math.nan)
 
 
 class TestLasso:

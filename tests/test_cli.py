@@ -5,7 +5,7 @@ from sltr import io as sio
 from sltr.cli import main
 from sltr.evaluation import auc, kfold_cv
 from sltr.simulate import SimSpec, generate
-from sltr.solver import SolverConfig
+from sltr.solver import SolverConfig, fit
 
 
 def run(capsys, *argv):
@@ -39,8 +39,7 @@ def test_simulate_fit_predict_eval(tmp_path, capsys):
     fitted = tmp_path / "fit.tn"
     out = run(capsys, "fit", "--data", data, "--lambda", 1, "--tau", 1, "--max-iter", 50,
               "--threads", 1, "--out", fitted)
-    assert out.splitlines()[0].split("\t") == ["mode", "iteration", "relative_change",
-                                               "objective"]
+    assert out.splitlines()[0].split("\t") == ["mode", "iteration", "residual"]
     assert sio.read_tensor(fitted).dims == ds.dims
 
     # Noiseless data: the true coefficient predicts y bit for bit.
@@ -78,6 +77,34 @@ def test_nan_parameter_is_bad_input(data, tmp_path, capsys):
                  "--out", str(tmp_path / "w.tn")]) == 1
     assert capsys.readouterr().err == "error: lambda must be positive, got nan\n"
     assert not (tmp_path / "w.tn").exists()
+
+
+def test_fit_prints_residuals_and_one_certificate_per_mode(data, tmp_path, capsys):
+    out = run(capsys, "fit", "--data", data, "--lambda", 0.5, "--tau", 1,
+              "--out", tmp_path / "w.tn")
+    sweeps, certificates = ([line.split("\t") for line in table.splitlines()]
+                            for table in out.split("\n\n"))
+    # Every solver flag left out takes its SolverConfig default.
+    result = fit(sio.read_dataset(data), SolverConfig(lam=0.5, tau=1.0))
+    assert sweeps == [["mode", "iteration", "residual"]] + [
+        [str(m), str(it), repr(rel)]
+        for m, trace in enumerate(result.trace, start=1)
+        for it, rel in enumerate(trace.residuals, start=1)
+    ]
+    assert certificates == [
+        ["mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap", "exit"]
+    ] + [
+        [str(m), str(len(trace)), repr(c.objective), repr(c.linf_violation),
+         repr(c.spectral_violation), repr(c.gap), c.exit]
+        for m, (trace, c) in enumerate(zip(result.trace, result.certificates), start=1)
+    ]
+
+
+def test_simulate_rejects_a_nan_noise_level(tmp_path, capsys):
+    assert main(["simulate", "--dims", "3x2", "--n", "5", "--alpha", "nan",
+                 "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == "error: noise_alpha must be >= 0, got nan\n"
+    assert not (tmp_path / "sim.ds").exists()
 
 
 def test_cv_selects_the_api_cell(data, tmp_path, capsys):

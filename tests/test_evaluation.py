@@ -93,6 +93,16 @@ class TestKfoldCvDivergence:
             evaluation.kfold_cv(ds, grid, cfg, k=3)
 
 
+class TestKfoldCvSelection:
+    def test_near_tied_cells_select_the_tight_tolerance_answer(self):
+        # The benchmark's cv_10x10x5 dataset of seed 2.  With tol 1e-7 the
+        # second cell wins; a mode that stopped early used to hand it to the first.
+        ds, _ = generate(SimSpec(dims=(10, 10, 5), n=40, seed=2))
+        grid = [(1.0, 1.0, 10.0), (1.0, 10.0, 0.1)]
+        report = evaluation.kfold_cv(ds, grid, SolverConfig(lam=1.0, tau=1.0), k=5, fold_seed=2)
+        assert report.selected == (1.0, 10.0, 0.1)
+
+
 def _outer(*vectors):
     """The rank-1 tensor of the given factor vectors, in the canonical layout."""
     return np.einsum(",".join("abcd"[: len(vectors)]), *vectors)

@@ -18,6 +18,10 @@ class TestSpecValidation:
             SimSpec(dims=(3, 0), n=1)
         with pytest.raises(ValueError):
             SimSpec(dims=(3, 3), n=1, low_rank=0)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(3, 3), n=1, noise_alpha=-0.1)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(3, 3), n=1, noise_alpha=math.nan)
 
 
 class TestGenerate:

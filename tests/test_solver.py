@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sltr.linalg
 from sltr import solver
 from sltr.data import Dataset
 from sltr.exceptions import DivergenceError, NumericalError
-from sltr.linalg import backbone, nuclear_norm
+from sltr.linalg import backbone, nuclear_norm, spectral_norm
 from sltr.prox import (
     ConstraintCenter,
     project_linf_ball,
@@ -78,8 +80,22 @@ class TestSubproblem:
 
     def test_zero_center_is_immediate(self):
         w, trace = solve_subproblem(2, np.zeros((3, 8)), (4, 3, 2), base_cfg())
-        assert len(trace) == 1
+        assert len(trace) == 0
         np.testing.assert_array_equal(w, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("slack", [1.0, 1.5])
+    def test_zero_optimum_is_returned_without_a_sweep(self, slack):
+        # ||c||_inf <= lam and ||c||_spec <= tau: 0 is feasible, so it is the optimum.
+        center = np.random.default_rng(14).normal(size=(5, 6))
+        linf, spec = float(np.max(np.abs(center))), spectral_norm(center)
+        w, trace = solve_subproblem(1, center, (5, 6), base_cfg(lam=slack * linf, tau=slack * spec))
+        assert len(trace) == 0 and trace.residuals == ()
+        np.testing.assert_array_equal(w.view(np.uint64), np.zeros((5, 6)).view(np.uint64))
+        assert trace.certificate == solver.Certificate(0.0, 0.0, 0.0, 0.0, "zero")
+        # Just outside either ball, 0 is infeasible and the solver sweeps.
+        for lam, tau in ((np.nextafter(linf, 0), spec), (linf, np.nextafter(spec, 0))):
+            _, trace = solve_subproblem(1, center, (5, 6), base_cfg(lam=lam, tau=tau))
+            assert len(trace) > 0 and trace.certificate.exit == "converged"
 
     def test_matches_convex_solver_on_fixed_instance(self):
         cp = pytest.importorskip("cvxpy")
@@ -119,7 +135,7 @@ class TestSubproblem:
         # The four copies sum past the largest double on the first sweep.
         center = np.full((3, 4), 1.5e308)
         center[1] *= -1.0
-        with pytest.raises(DivergenceError, match="non-finite iterate change at iteration 1"):
+        with pytest.raises(DivergenceError, match="non-finite residual at iteration 1"):
             solve_subproblem(1, center, (3, 4), base_cfg())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -139,7 +155,7 @@ class TestSubproblem:
         monkeypatch.setattr(solver, "prox_l1", prox_l1_failing_on_sweep_5)
         with pytest.raises(DivergenceError, match="at iteration 5") as err:
             solve_subproblem(1, center, (4, 6), cfg)
-        assert err.value.trace == expected
+        assert err.value.trace == list(expected.residuals)
 
     def test_growing_change_raises_with_the_trace_through_that_sweep(self, monkeypatch):
         calls = []
@@ -156,8 +172,8 @@ class TestSubproblem:
         with pytest.raises(DivergenceError, match="by iteration 5") as err:
             solve_subproblem(1, center, (4, 6), cfg)
         trace = err.value.trace
-        assert len(trace) == 5 and trace[:4] == expected and trace[4][0] == 5
-        assert trace[4][1] > 1e6 * trace[0][1]
+        assert len(trace) == 5 and trace[:4] == list(expected.residuals)
+        assert trace[4] > 1e6 * trace[0]
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_smoothed_change_is_non_increasing(self, seed):
@@ -165,7 +181,7 @@ class TestSubproblem:
         center = r.normal(size=(6, 8))
         cfg = base_cfg(lam=0.3, tau=1.0, gamma=0.3, tol=1e-12, max_iter=2000)
         _, trace = solve_subproblem(1, center, (6, 8), cfg)
-        rels = np.array([rel for _, rel, _ in trace])
+        rels = np.array(trace.residuals)
         n_win = len(rels) // 10
         windows = rels[: n_win * 10].reshape(n_win, 10).mean(axis=1)
         assert np.all(np.diff(windows) <= 1e-10)
@@ -181,8 +197,36 @@ class TestSubproblem:
         assert np.linalg.norm(w_default - w_faithful) <= 1e-5
 
 
-class TestTraceObjective:
-    """Traced objectives, computed a block of sweeps at a time, against one sweep at a time."""
+def certificate_reference(x, y, p, ctr, step, exit):
+    """The exit certificate computed from its definition, one term at a time."""
+    objective = float(np.sum(np.abs(x))) + nuclear_norm(x)
+    z = [(y_i - p_i) / step for y_i, p_i in zip(y, p)]
+    z1 = np.clip(z[0], -1.0, 1.0)
+    z2 = z[1] / max(1.0, spectral_norm(z[1]))
+    r = z1 + z2 + z[2] + z[3]
+    linear = float(np.sum(ctr.c * (z1 + z2)))
+    into_z3 = linear - ctr.lam * float(np.sum(np.abs(z[2] - r))) - ctr.tau * nuclear_norm(z[3])
+    into_z4 = linear - ctr.lam * float(np.sum(np.abs(z[2]))) - ctr.tau * nuclear_norm(z[3] - r)
+    return solver.Certificate(
+        objective=objective,
+        linf_violation=max(float(np.max(np.abs(x - ctr.c))) - ctr.lam, 0.0),
+        spectral_violation=max(spectral_norm(x - ctr.c) - ctr.tau, 0.0),
+        gap=objective - max(into_z3, into_z4),
+        exit=exit,
+    )
+
+
+def _feasible_points(center, lam, tau, r):
+    """The centre, and random points clamped into the l-inf ball then scaled into the spectral one."""
+    points = [center]
+    for scale in (0.1, 1.0, 10.0):
+        d = np.clip(scale * r.normal(size=center.shape), -lam, lam)
+        points.append(center + d * min(1.0, tau / np.linalg.norm(d, 2)))
+    return points
+
+
+class TestCertificate:
+    """The exit certificate against its definition, and against the primal problem."""
 
     def _reference(self, center, cfg):
         ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
@@ -192,46 +236,102 @@ class TestTraceObjective:
             lambda w: project_linf_ball(w, ctr),
             lambda w: project_spectral_ball(w, ctr),
         )
-        return ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter,
-                              lambda x: float(np.sum(np.abs(x))) + nuclear_norm(x))
+        x, residuals, y, p = ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter)
+        exit = "converged" if residuals[-1] <= cfg.tol else "max_iter"
+        return x, residuals, certificate_reference(x, y, p, ctr, cfg.gamma, exit)
 
-    @pytest.mark.parametrize("block_sweeps", [None, 7])
     @pytest.mark.parametrize("kind", ["full_rank", "rank_two"])
-    def test_matches_per_sweep_computation(self, kind, block_sweeps, monkeypatch):
+    def test_matches_direct_computation(self, kind, monkeypatch):
         r = np.random.default_rng(5)
         if kind == "full_rank":
             center = r.normal(size=(10, 50))
         else:
-            # Its iterates are rank-deficient on about half the sweeps, which
-            # takes nuclear_norm's LAPACK fallback.
+            # Its nuclear norms take nuclear_norm's LAPACK fallback.
             center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
-        if block_sweeps is not None:
-            monkeypatch.setattr(solver, "_TRACE_BLOCK_BYTES", block_sweeps * center.nbytes)
-        block = solver._TRACE_BLOCK_BYTES // center.nbytes
-        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=block + 150)
-        fallbacks = []
+        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=200)
+        lapack = []
         singular_values = sltr.linalg.singular_values
         monkeypatch.setattr(sltr.linalg, "singular_values",
-                            lambda a: fallbacks.append(1) or singular_values(a))
+                            lambda a: lapack.append(1) or singular_values(a))
 
         w, trace = solve_subproblem(1, center, (10, 50), cfg)
-        batched_fallbacks = len(fallbacks)
-        x, expected = self._reference(center, cfg)
+        lapack_calls = len(lapack)
+        x, residuals, certificate = self._reference(center, cfg)
 
-        assert len(trace) > block
-        assert trace == expected
+        assert len(trace) == cfg.max_iter and trace.certificate.exit == "max_iter"
+        assert trace.residuals == tuple(residuals)
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
-        if kind == "rank_two":
-            assert 0 < batched_fallbacks < len(trace)
-        else:
-            assert batched_fallbacks == 0
+        assert repr(trace.certificate) == repr(certificate)
+        # Two calls are the spectral norms of x - c and z2; more are nuclear_norm's fallbacks.
+        assert (lapack_calls > 2) == (kind == "rank_two")
 
-    def test_converged_run_is_flushed(self):
+    def test_converged_run_matches_reference(self):
         center = np.random.default_rng(6).normal(size=(6, 8))
         cfg = base_cfg(lam=0.3, tau=1.0, gamma=0.3)
-        _, trace = solve_subproblem(1, center, (6, 8), cfg)
-        _, expected = self._reference(center, cfg)
-        assert 1 < len(trace) < cfg.max_iter and trace == expected
+        w, trace = solve_subproblem(1, center, (6, 8), cfg)
+        x, residuals, certificate = self._reference(center, cfg)
+        assert 1 < len(trace) < cfg.max_iter and trace.certificate.exit == "converged"
+        assert trace.residuals == tuple(residuals) and residuals[-1] <= cfg.tol
+        np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
+        assert repr(trace.certificate) == repr(certificate)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        lam=st.floats(1e-3, 3.0),
+        tau=st.floats(1e-3, 6.0),
+        gamma=st.floats(1e-2, 3.0),
+        max_iter=st.integers(1, 60),
+    )
+    def test_weak_duality(self, seed, shape, lam, tau, gamma, max_iter):
+        # Stopped at any sweep, the dual value lies below the objective of every feasible point.
+        r = np.random.default_rng(seed)
+        center = r.normal(size=shape) * r.uniform(0.1, 5.0)
+        cfg = base_cfg(lam=lam, tau=tau, gamma=gamma, max_iter=max_iter)
+        _, trace = solve_subproblem(1, center, shape, cfg)
+        cert = trace.certificate
+        dual = cert.objective - cert.gap
+        for w in _feasible_points(center, lam, tau, r):
+            primal = float(np.sum(np.abs(w))) + float(np.sum(np.linalg.svd(w, compute_uv=False)))
+            assert dual <= primal + 1e-9 * max(1.0, primal)
+
+    @pytest.mark.parametrize("lam,tau", [(math.inf, 1.0), (0.5, math.inf)])
+    def test_infinite_radius_leaves_a_finite_gap(self, lam, tau):
+        # The dual of an unbounded ball must be 0, and costs nothing there.
+        center = np.random.default_rng(3).normal(size=(4, 5))
+        cfg = base_cfg(lam=lam, tau=tau, tol=1e-8, max_iter=5000)
+        _, trace = solve_subproblem(1, center, (4, 5), cfg)
+        assert trace.certificate.exit == "converged"
+        assert abs(trace.certificate.gap) <= 1e-7 * trace.certificate.objective
+
+    # Bounds stated for tol = 1e-8 on these instances: each violation within
+    # tol * ||c||_F, and the gap within tol * objective either way.
+    @pytest.mark.parametrize(
+        "name,lam,tau,gamma",
+        [
+            ("spectral_ball_binds", 10.0, 1.0, 1.0),
+            ("both_balls_bind", 0.5, 1.0, 0.5),
+            ("tiny_radii_pin_to_centre", 1e-6, 1e-6, 1e-3),
+        ],
+    )
+    def test_exit_bounds_on_fixed_instances(self, name, lam, tau, gamma):
+        center = np.random.default_rng(21).normal(size=(6, 8))
+        tol = 1e-8
+        cfg = base_cfg(lam=lam, tau=tau, gamma=gamma, tol=tol, max_iter=20000)
+        w, trace = solve_subproblem(1, center, (6, 8), cfg)
+        cert = trace.certificate
+        assert cert.exit == "converged"
+        assert max(cert.linf_violation, cert.spectral_violation) <= tol * np.linalg.norm(center)
+        assert abs(cert.gap) <= tol * cert.objective
+        s = np.linalg.svd(w - center, compute_uv=False)
+        if name == "spectral_ball_binds":
+            assert s[0] >= tau - tol * np.linalg.norm(center)
+            assert np.max(np.abs(w - center)) < lam / 2
+        if name == "tiny_radii_pin_to_centre":
+            assert np.max(np.abs(w - center)) <= 2 * lam
+            l1_nuclear = np.sum(np.abs(center)) + np.sum(np.linalg.svd(center, compute_uv=False))
+            assert cert.objective == pytest.approx(l1_nuclear, rel=1e-5)
 
 
 class TestFit:
@@ -251,7 +351,8 @@ class TestFit:
         assert not w_star.data.any()
         result = fit(ds, base_cfg())
         np.testing.assert_array_equal(result.w_hat.data, np.zeros(12))
-        assert result.iterations_used == (1, 1)
+        assert result.iterations_used == (0, 0)
+        assert [c.exit for c in result.certificates] == ["zero", "zero"]
 
     def test_parallel_and_sequential_bit_identical(self):
         ds = self._dataset(seed=3)
@@ -262,6 +363,7 @@ class TestFit:
         for a, b in zip(seq.per_mode, par.per_mode):
             assert np.array_equal(a.data, b.data)
         assert seq.trace == par.trace
+        assert repr(seq.trace) == repr(par.trace)
 
     def test_averaging_identity(self):
         ds = self._dataset(seed=4)
@@ -285,8 +387,10 @@ class TestFit:
         result = fit(ds, cfg)
         assert all(result.converged)
         for mode_trace, used in zip(result.trace, result.iterations_used):
-            assert len(mode_trace) == used
-            assert mode_trace[-1][1] <= cfg.tol
+            assert len(mode_trace) == used == len(mode_trace.residuals)
+            assert mode_trace.residuals[-1] <= cfg.tol
+            assert all(rel > cfg.tol for rel in mode_trace.residuals[:-1])
+            assert mode_trace.certificate.exit == "converged"
         assert result.timings.total_s > 0
         assert len(result.timings.mode_s) == 3
 
@@ -295,6 +399,33 @@ class TestFit:
         result = fit(ds, base_cfg(lam=0.2, tau=0.5, tol=1e-14, max_iter=3))
         assert result.iterations_used == (3, 3, 3)
         assert not any(result.converged)
+        assert [c.exit for c in result.certificates] == ["max_iter"] * 3
+
+    @pytest.fixture(scope="class")
+    def seed0_fits(self):
+        # The 30x30x10 dataset and settings of the benchmark's fit workload, seed 0.
+        ds, _ = generate(SimSpec(dims=(30, 30, 10), n=720, seed=0))
+        bb = backbone(ds.x, ds.y, 1.0, ds.dims)
+        fits = {tol: fit(ds, SolverConfig(lam=1.0, tau=1.0, epsilon=1.0, tol=tol))
+                for tol in (1e-3, 1e-4)}
+        return bb, fits
+
+    def test_seed0_fit_meets_its_constraints(self, seed0_fits):
+        # Stopping on the consensus iterate alone let mode 3 stop at sweep 4,
+        # outside its spectral ball by 2.31.
+        bb, fits = seed0_fits
+        worst = {}
+        for tol, result in fits.items():
+            gaps = []
+            for m, (w_m, cert) in enumerate(zip(result.per_mode, result.certificates), start=1):
+                ctr = ConstraintCenter(unfold(bb.tensor, m), 1.0, 1.0)
+                _, _, g_inf, g_spec = objective_and_gaps(unfold(w_m, m), ctr)
+                assert (max(g_inf, 0.0), max(g_spec, 0.0)) == (
+                    cert.linf_violation, cert.spectral_violation)
+                gaps += [g_inf, g_spec]
+            worst[tol] = max(gaps)
+        assert worst[1e-3] <= 0.02
+        assert worst[1e-4] <= worst[1e-3] / 5
 
 
 class TestPredict:

@@ -1,6 +1,5 @@
 """Sparse + low-rank tensor regression via parallel proximal splitting."""
 
-from .baselines import BaselineConfig, fit_elastic_net, fit_lasso
 from .data import Dataset
 from .evaluation import (
     BoundInputs,
@@ -43,7 +42,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
     "Backbone",
     "BoundInputs",
     "Certificate",
@@ -65,8 +63,6 @@ __all__ = [
     "coefficient_error",
     "default_grid",
     "fit",
-    "fit_elastic_net",
-    "fit_lasso",
     "fold",
     "frobenius_norm",
     "generate",

@@ -1,9 +1,11 @@
 """Closed-form proximal and projection operators for the mode subproblems.
 
-The four operators act on the mode-m unfolding and correspond to the four
-terms of the split objective: the elementwise l1 norm, the matrix nuclear
-norm, and the indicator functions of the l-infinity and spectral balls
-centered on the backbone unfolding.  The two spectral operators change only
+The four operators act on the mode-m unfolding: the proxes of the elementwise
+l1 norm and of the matrix nuclear norm, and the projections onto the
+l-infinity and spectral balls centered on the backbone unfolding.  They make
+the three terms of the split objective: soft thresholding then the
+l-infinity clamp is the prox of the l1 norm restricted to the l-infinity
+ball, because both act entry by entry.  The two spectral operators change only
 the singular triplets above their threshold, so they call the thresholded
 :func:`~sltr.linalg.svd` kernel, which computes just those.
 """

@@ -11,17 +11,20 @@ Each mode subproblem
                                   ||w - c||_spec <= tau
 
 is solved by parallel proximal splitting (PPXA, Combettes & Pesquet, Inverse
-Problems 24, 2008): four copies ``y_i`` of the iterate, one per term, are
-advanced by their prox/projection operators ``p_i = prox(y_i)``, combined by
-an equal-weight average, and relaxed by ``rho``.  PPXA is Douglas-Rachford
-splitting on the product of the four copies, so the change of the whole
-state ``y`` in one sweep (its fixed-point residual) never increases, and it
-is zero exactly at a fixed point, whose consensus iterate is a minimiser.
-A sweep whose residual is at most ``tol`` times ``max(||y||, 1)`` (Frobenius
-norms over all four copies) ends the solve: ``tol`` bounds a relative
-residual, with an absolute floor for a state that shrinks to zero.  Watching
-the consensus iterate alone is not enough: it can stand still while the
-copies are far from a fixed point.  A centre for which 0 lies in both balls
+Problems 24, 2008) on three terms: the l1 norm on the l-infinity ball, whose
+prox is soft thresholding then the clamp into the ball (both act entry by
+entry; Yu, NeurIPS 2013), the nuclear norm, and the spectral ball.  Three
+copies ``y_i`` of the iterate, one per term, are advanced by their
+prox/projection operators ``p_i = prox(y_i)``, combined by an equal-weight
+average, and relaxed by ``rho``.  PPXA is Douglas-Rachford splitting on the
+product of the copies, so the change of the whole state ``y`` in one sweep
+(its fixed-point residual) never increases, and it is zero exactly at a
+fixed point, whose consensus iterate is a minimiser.  A sweep whose residual
+is at most ``tol`` times ``max(||y||, 1)`` (Frobenius norms over all three
+copies) ends the solve: ``tol`` bounds a relative residual, with an absolute
+floor for a state that shrinks to zero.  Watching the consensus iterate
+alone is not enough: it can stand still while the copies are far from a
+fixed point.  A centre for which 0 lies in both balls
 is answered with 0, the unique minimiser, without a sweep.
 
 Each solve ends with a :class:`Certificate`: the objective and the two
@@ -36,8 +39,8 @@ points unchanged and cuts the sweeps the residual rule needs.  Measured at
     ==================================  ===========  ==========  ==========
     sweeps                              rho = 1.0    rho = 1.5   rho = 1.8
     ==================================  ===========  ==========  ==========
-    30x30x10 fit, seed 0, modes 1/2/3   104/104/115  80/80/91    70/71/82
-    10x10x5 5-fold CV, 9 cells, seed 0  19,183       16,022      14,876
+    30x30x10 fit, seed 0, modes 1/2/3   104/104/116  80/80/91    70/71/81
+    10x10x5 5-fold CV, 9 cells, seed 0  14,200       12,449      12,943
     ==================================  ===========  ==========  ==========
 
 The mode subproblems are independent, so they may run on mode threads.
@@ -153,9 +156,10 @@ class Certificate:
     ``linf_violation`` and ``spectral_violation`` are the distances by which
     ``||x - c||_inf`` and ``||x - c||_spec`` exceed their radii (0 inside).
     ``gap`` is ``objective`` minus the value of a dual feasible point made
-    from ``z_i = (y_i - p_i) / step`` of the last sweep: ``z1`` clamped to
-    the l-infinity unit ball, ``z2`` scaled into the spectral unit ball, and
-    the residual of ``z1 + z2 + z3 + z4 = 0`` absorbed into ``z3`` or ``z4``.
+    from ``z_i = (y_i - p_i) / step`` of the last sweep, one per term
+    (``z1`` for the l1 norm on the l-infinity ball, whose conjugate is exact
+    and elementwise): ``z2`` scaled into the spectral unit ball, and the
+    residual of ``z1 + z2 + z3 = 0`` absorbed into ``z1`` or ``z3``.
     When both violations are 0, ``gap`` bounds how far ``objective`` lies
     above the optimum; an infeasible ``x`` can have an objective below the
     optimum, and so a negative gap.  The dual point carries a rounding error
@@ -228,7 +232,7 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     ``center`` must be the mode-m unfolding of the backbone tensor.  Returns
     ``(w, trace)`` where ``w`` is the consensus iterate at termination and
     ``trace`` is a :class:`ModeTrace`: the relative residual
-    ``||y+ - y|| / max(||y||, 1)`` of each sweep, over all four copies, and
+    ``||y+ - y|| / max(||y||, 1)`` of each sweep, over all three copies, and
     the exit :class:`Certificate`.  Returns exact zeros after no sweep when
     ``||center||_inf <= lam`` and ``||center||_spec <= tau``.  Otherwise
     terminates after the first sweep whose residual is at most ``cfg.tol``,
@@ -254,17 +258,16 @@ def _ppxa(center, cfg):
         return np.zeros_like(center), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
     step = 4.0 * cfg.lam if cfg.paper_faithful_steps else cfg.gamma
     ops = (
-        lambda w: prox_l1(w, step),
+        lambda w: project_linf_ball(prox_l1(w, step), ctr),
         lambda w: prox_nuclear(w, step),
-        lambda w: project_linf_ball(w, ctr),
         lambda w: project_spectral_ball(w, ctr),
     )
-    y = np.stack([center] * 4)
+    y = np.stack([center] * len(ops))
     x = center.copy()
     residuals = []
     for t in range(1, cfg.max_iter + 1):
         p = np.stack([op(v) for op, v in zip(ops, y)])
-        pbar = p.sum(axis=0) / 4.0
+        pbar = p.sum(axis=0) / len(ops)
         d = 2.0 * pbar - x - p  # y moves by rho * d
         rel = cfg.rho * float(np.linalg.norm(d)) / max(float(np.linalg.norm(y)), 1.0)
         if not math.isfinite(rel):
@@ -297,29 +300,36 @@ def _ppxa(center, cfg):
 def _dual_value(z, ctr):
     """Value of the dual problem at the point made feasible from ``z``, one matrix per term.
 
-    The dual of the subproblem is: maximise ``-<c, z3 + z4> - lam ||z3||_1 -
-    tau ||z4||_*`` over ``||z1||_inf <= 1``, ``||z2||_spec <= 1`` and
-    ``z1 + z2 + z3 + z4 = 0``.  ``z1`` is clamped and ``z2`` scaled into
-    their balls, and the residual of the sum is absorbed whole into ``z3`` or
-    into ``z4``, whichever gives the larger value.  Any point so made is dual
-    feasible, so the value is below the objective of every feasible ``w``.
+    The dual of the subproblem is: maximise ``-h(z1) - <c, z3> - tau ||z3||_*``
+    over ``||z2||_spec <= 1`` and ``z1 + z2 + z3 = 0``, where ``h`` is the
+    conjugate of ``||w||_1`` on the l-infinity ball (:func:`_l1_box_conjugate`).
+    ``z2`` is scaled into its ball (and ``z1`` clamped into ``[-1, 1]`` if
+    ``lam`` is infinite), and the residual of the sum is absorbed whole into
+    ``z1`` or into ``z3``, whichever gives the larger value.  Any point so
+    made is dual feasible, so the value is below the objective of every
+    feasible ``w``.
     """
-    z1 = np.clip(z[0], -1.0, 1.0)
+    z1 = np.clip(z[0], -1.0, 1.0) if math.isinf(ctr.lam) else z[0]
     z2 = z[1] / max(1.0, spectral_norm(z[1]))
-    r = z1 + z2 + z[2] + z[3]
-    # Either choice leaves z3 + z4 = -(z1 + z2).
-    linear = float(np.sum(ctr.c * (z1 + z2)))
-    nuclear = nuclear_norm(np.stack([z[3], z[3] - r]))
-    into_z3 = (linear - _support(ctr.lam, float(np.sum(np.abs(z[2] - r))))
-               - _support(ctr.tau, float(nuclear[0])))
-    into_z4 = (linear - _support(ctr.lam, float(np.sum(np.abs(z[2]))))
-               - _support(ctr.tau, float(nuclear[1])))
-    return max(into_z3, into_z4)
+    r = z1 + z2 + z[2]
+    # tau ||z3||_* with z3 kept, and with z3 - r = -(z1 + z2); 0 for a zero z3, whatever tau.
+    support = [ctr.tau * float(n) if n else 0.0 for n in nuclear_norm(np.stack([z[2], z[2] - r]))]
+    into_z1 = -_l1_box_conjugate(z1 - r, ctr) - float(np.sum(ctr.c * z[2])) - support[0]
+    into_z3 = -_l1_box_conjugate(z1, ctr) + float(np.sum(ctr.c * (z1 + z2))) - support[1]
+    return max(into_z1, into_z3)
 
 
-def _support(radius, norm):
-    """``radius * norm``, the support function of a ball; 0 for a zero dual, whatever the radius."""
-    return radius * norm if norm else 0.0
+def _l1_box_conjugate(z, ctr):
+    """``sup z u - |u|`` over ``u`` in ``[c - lam, c + lam]``, summed over the entries.
+
+    Each entry's supremum is reached at an end of its interval or at the
+    interval's point nearest 0.  For an infinite ``lam`` it is the indicator
+    of ``|z| <= 1``.
+    """
+    if math.isinf(ctr.lam):
+        return 0.0 if np.max(np.abs(z)) <= 1.0 else math.inf
+    a, b = ctr.c - ctr.lam, ctr.c + ctr.lam
+    return float(np.sum(np.max([z * u - np.abs(u) for u in (a, b, np.clip(0.0, a, b))], axis=0)))
 
 
 def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult:

@@ -1,11 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is implemented from first principles (index walking, scalar
-minimization, pair counting, coordinate descent) so that it shares no code
+minimization, pair counting, one PPXA copy at a time) so that it shares no code
 path with the package implementation it checks.
 """
-
-import math
 
 import numpy as np
 
@@ -107,63 +105,29 @@ def auc_paircount(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-def cd_lasso(x, y, lam, l1_ratio=1.0, sweeps=2000, tol=1e-14):
-    """Cyclic coordinate descent for 0.5||y-Xw||^2 + lam(r||w||_1 + (1-r)/2 ||w||^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    w = np.zeros(p)
-    col_sq = np.sum(x * x, axis=0)
-    r = y.copy()  # residual y - Xw
-    l1 = lam * l1_ratio
-    l2 = lam * (1.0 - l1_ratio)
-    for _ in range(sweeps):
-        max_delta = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
-            rho = x[:, j] @ r + col_sq[j] * w[j]
-            wj = math.copysign(max(abs(rho) - l1, 0.0), rho) / (col_sq[j] + l2)
-            if wj != w[j]:
-                r += x[:, j] * (w[j] - wj)
-                max_delta = max(max_delta, abs(wj - w[j]))
-                w[j] = wj
-        if max_delta <= tol:
-            break
-    return w
-
-
-def elastic_objective(x, y, w, lam, l1_ratio):
-    r = y - x @ w
-    return (
-        0.5 * float(r @ r)
-        + lam * l1_ratio * float(np.sum(np.abs(w)))
-        + 0.5 * lam * (1.0 - l1_ratio) * float(w @ w)
-    )
-
-
 def ppxa_reference(center, ops, rho, tol, max_iter):
     """PPXA sweeps, one copy at a time, stopped by the residual of the whole state.
 
-    ``ops`` are the four prox/projection operators, applied to the four
-    copies in order.  Each sweep records the relative residual
-    ``||y+ - y|| / max(||y||, 1)``, the Frobenius norms taken over all four
+    ``ops`` are the prox/projection operators, one per term, each applied to
+    its own copy.  Each sweep records the relative residual
+    ``||y+ - y|| / max(||y||, 1)``, the Frobenius norms taken over all the
     copies ``y``; the run stops once it is at most ``tol`` or after
     ``max_iter`` sweeps.  Returns ``(x, residuals, y, p)``: the consensus
     iterate, the residual of each sweep, and the copies and operator outputs
     of the last sweep, as they were before its update.
     """
-    copies = [np.array(center, dtype=float) for _ in range(4)]
+    n = len(ops)
+    copies = [np.array(center, dtype=float) for _ in range(n)]
     x = np.array(center, dtype=float)
     residuals = []
     for _ in range(max_iter):
         a = [op(w) for op, w in zip(ops, copies)]
-        abar = (a[0] + a[1] + a[2] + a[3]) / 4.0
-        steps = [2.0 * abar - x - a[i] for i in range(4)]
+        abar = np.sum(a, axis=0) / n
+        steps = [2.0 * abar - x - a[i] for i in range(n)]
         size = float(np.linalg.norm(np.stack(copies)))
         residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / max(size, 1.0))
         last = [w.copy() for w in copies]
-        for i in range(4):
+        for i in range(n):
             copies[i] += rho * steps[i]
         x += rho * (abar - x)
         if residuals[-1] <= tol:

@@ -58,6 +58,27 @@ def test_one_thread_fit_runs():
     assert result.w_hat.dims == ds.dims and np.isfinite(result.w_hat.data).all()
 
 
+def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
+    # The merged l1 term calls both names once a sweep, so perfbench's
+    # prox.l1_calls and prox.linf_calls each still count the sweeps.
+    calls = {"prox_l1": 0, "project_linf_ball": 0}
+
+    def counting(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    center = np.random.default_rng(2).normal(size=(5, 8))
+    _, trace = solver.solve_subproblem(1, center, (5, 8), SolverConfig(lam=0.3, tau=1.0))
+    assert len(trace) > 0 and trace.certificate.exit == "converged"
+    assert calls == {"prox_l1": len(trace), "project_linf_ball": len(trace)}
+
+
 def test_workload_module_imports():
     # Its imports name the functions and the SolverConfig fields the workloads use.
     assert set(_load("workloads").WORKLOADS) == {"fit_30x30x10", "cv_10x10x5", "data_30x30x10"}

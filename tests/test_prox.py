@@ -147,6 +147,39 @@ class TestProjectSpectral:
         assert project_spectral_ball(ctr.c, ctr) is ctr.c
 
 
+class TestMergedL1Term:
+    """The solver's first operator, soft thresholding then the l-inf clamp, is one prox.
+
+    It is the prox of ``gamma * ||.||_1`` plus the indicator of the l-inf ball:
+    each entry minimises ``0.5 * (u - v)**2 + gamma * |u|`` over
+    ``[c - lam, c + lam]``.  The minimiser of that convex function is the
+    clipped stationary point of one of its pieces, or a kink, so it is one of
+    the candidates ``a``, ``b``, 0 (when in the box) and ``clip(v -+ gamma)``.
+    """
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(1e-3, 3.0),
+        lam=st.floats(1e-3, 3.0),
+        scale=st.floats(0.1, 5.0),
+    )
+    def test_each_entry_minimises_over_the_box(self, seed, gamma, lam, scale):
+        r = np.random.default_rng(seed)
+        v = scale * r.normal(size=(4, 5))
+        ctr = ConstraintCenter(scale * r.normal(size=(4, 5)), lam, 1.0)
+        u = project_linf_ball(prox_l1(v, gamma), ctr)
+        a, b = ctr.c - lam, ctr.c + lam
+        assert np.all((a <= u) & (u <= b))
+
+        def cost(w):
+            return 0.5 * (w - v) ** 2 + gamma * np.abs(w)
+
+        candidates = [a, b, np.clip(0.0, a, b), np.clip(v - gamma, a, b), np.clip(v + gamma, a, b)]
+        best = np.min([cost(w) for w in candidates], axis=0)
+        assert np.all(cost(u) <= best + 1e-12 * (1.0 + best))
+
+
 class TestNonExpansiveness:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2 ** 31))

@@ -69,6 +69,7 @@ and the modes are averaged in a fixed order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -105,8 +106,9 @@ class SolverConfig:
     ``lam`` and ``tau`` are the l-infinity and spectral constraint radii,
     ``epsilon`` the backbone ridge parameter, ``rho`` the relaxation factor
     in (0, 2) (1.8 by default: over-relaxation takes fewer sweeps to the
-    same fixed points, see the module notes), and ``gamma`` the prox step
-    size for the two norm terms (projections ignore it).
+    same fixed points, see the module notes), and ``gamma`` the finite prox
+    step size for the two norm terms (projections ignore it).  The radii may
+    be infinite.
     ``paper_faithful_steps`` switches the prox step size to ``4 * lam`` for
     both norm terms instead of ``gamma``.  A mode subproblem stops after the
     first sweep whose whole-state residual is at most ``tol`` times
@@ -133,10 +135,10 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.rho < 2:
             raise ValueError(f"rho must lie in (0, 2), got {self.rho}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -313,7 +315,7 @@ def _dual_value(z, ctr):
     z2 = z[1] / max(1.0, spectral_norm(z[1]))
     r = z1 + z2 + z[2]
     # tau ||z3||_* with z3 kept, and with z3 - r = -(z1 + z2); 0 for a zero z3, whatever tau.
-    support = [ctr.tau * float(n) if n else 0.0 for n in nuclear_norm(np.stack([z[2], z[2] - r]))]
+    support = [ctr.tau * n if n else 0.0 for n in (nuclear_norm(z[2]), nuclear_norm(z[2] - r))]
     into_z1 = -_l1_box_conjugate(z1 - r, ctr) - float(np.sum(ctr.c * z[2])) - support[0]
     into_z3 = -_l1_box_conjugate(z1, ctr) + float(np.sum(ctr.c * (z1 + z2))) - support[1]
     return max(into_z1, into_z3)

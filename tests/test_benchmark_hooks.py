@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sltr import solver
+from sltr import evaluation, solver
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig
 
@@ -77,6 +77,37 @@ def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
     _, trace = solver.solve_subproblem(1, center, (5, 8), SolverConfig(lam=0.3, tau=1.0))
     assert len(trace) > 0 and trace.certificate.exit == "converged"
     assert calls == {"prox_l1": len(trace), "project_linf_ball": len(trace)}
+
+
+def test_traced_runs_match_plain_runs_and_count_every_sweep(spans):
+    # The hooks read the arguments and results of the calls they wrap: each
+    # traced name must be called the way they expect, and a traced fit or
+    # cross-validation must give the plain run's answers, bit for bit.
+    ds, _ = generate(SimSpec(dims=(6, 5, 4), n=30, seed=0))
+    cfg = SolverConfig(lam=1.0, tau=1.0)
+    grid = [(0.1, 1.0, 1.0), (1.0, 1.0, 0.1), (1.0, 10.0, 1.0)]
+    plain_fit = solver.fit(ds, cfg, threads=2)
+    plain_cv = evaluation.kfold_cv(ds, grid, cfg, k=3)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        with tracer.op(0):
+            traced_fit = solver.fit(ds, cfg, threads=2)
+        with tracer.op(1):
+            traced_cv = evaluation.kfold_cv(ds, grid, cfg, k=3)
+
+    for a, b in zip((traced_fit.w_hat, *traced_fit.per_mode),
+                    (plain_fit.w_hat, *plain_fit.per_mode)):
+        np.testing.assert_array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+    assert traced_fit.trace == plain_fit.trace
+    assert traced_cv == plain_cv
+
+    fit_metrics = spans.layer_metrics(tracer.spans, [0])
+    sweeps = sum(plain_fit.iterations_used)
+    assert sweeps > 0
+    assert fit_metrics["solver.sweeps"][0] == sweeps == fit_metrics["prox.nuclear_calls"][0]
+    cv_metrics = spans.layer_metrics(tracer.spans, [1])
+    assert cv_metrics["solver.sweeps"][0] == cv_metrics["prox.nuclear_calls"][0] > 0
+    assert cv_metrics["evaluation.fits"][0] == 3 * len(grid)
 
 
 def test_workload_module_imports():

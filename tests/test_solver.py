@@ -55,6 +55,8 @@ class TestConfig:
             ("rho", math.nan),
             ("gamma", math.nan),
             ("tol", math.nan),
+            ("gamma", math.inf),
+            ("max_iter", 2.5),
         ],
     )
     def test_validation(self, field, value):
@@ -264,7 +266,7 @@ class TestCertificate:
         if kind == "full_rank":
             center = r.normal(size=(10, 50))
         else:
-            # Its nuclear norms take nuclear_norm's LAPACK fallback.
+            # A rank-deficient centre.
             center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
         cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=200)
         lapack = []
@@ -280,8 +282,8 @@ class TestCertificate:
         assert trace.residuals == tuple(residuals)
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
-        # Two calls are the spectral norms of x - c and z2; more are nuclear_norm's fallbacks.
-        assert (lapack_calls > 2) == (kind == "rank_two")
+        # The spectral norms of x - c and z2, and the nuclear norms of x, z3 and z3 - r.
+        assert lapack_calls == 5
 
     def test_converged_run_matches_reference(self):
         center = np.random.default_rng(6).normal(size=(6, 8))

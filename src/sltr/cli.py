@@ -59,16 +59,8 @@ def _print_table(header, rows):
 
 
 def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
-    return SolverConfig(
-        lam=lam,
-        tau=tau,
-        epsilon=epsilon,
-        rho=args.rho,
-        gamma=args.gamma,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        paper_faithful_steps=getattr(args, "paper_faithful_steps", False),
-    )
+    return SolverConfig(lam=lam, tau=tau, epsilon=epsilon, rho=args.rho, gamma=args.gamma,
+                        max_iter=args.max_iter, tol=args.tol)
 
 
 def _add_solver_flags(p, with_params=True):
@@ -81,7 +73,7 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--rho", type=float, default=_DEFAULTS["rho"],
                    help="relaxation factor in (0, 2) (default: %(default)s)")
     p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"],
-                   help="prox step size for the norm terms (default: %(default)s)")
+                   help="prox step as a multiple of the centre's rms entry (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iter"],
                    help="sweeps per mode subproblem at most (default: %(default)s)")
     p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
@@ -111,8 +103,6 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit the estimator on a dataset file")
     p.add_argument("--data", required=True)
     _add_solver_flags(p)
-    p.add_argument("--paper-faithful-steps", action="store_true",
-                   help="use 4*lambda prox steps for both norm terms")
     p.add_argument("--out", required=True, help="output coefficient tensor file")
     p.set_defaults(func=_cmd_fit)
 

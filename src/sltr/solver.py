@@ -20,28 +20,32 @@ average, and relaxed by ``rho``.  PPXA is Douglas-Rachford splitting on the
 product of the copies, so the change of the whole state ``y`` in one sweep
 (its fixed-point residual) never increases, and it is zero exactly at a
 fixed point, whose consensus iterate is a minimiser.  A sweep whose residual
-is at most ``tol`` times ``max(||y||, 1)`` (Frobenius norms over all three
-copies) ends the solve: ``tol`` bounds a relative residual, with an absolute
-floor for a state that shrinks to zero.  Watching the consensus iterate
-alone is not enough: it can stand still while the copies are far from a
-fixed point.  A centre for which 0 lies in both balls
-is answered with 0, the unique minimiser, without a sweep.
+is at most ``tol`` times ``||y||`` (Frobenius norms over all three copies)
+ends the solve.  Watching the consensus iterate alone is not enough: it can
+stand still while the copies are far from a fixed point.  A centre for which
+0 lies in both balls is answered with 0, the unique minimiser, without a
+sweep.  The prox step of the norm terms is ``gamma`` times the centre's rms
+entry ``||c||_F / sqrt(mn)``, so the solver has no units: scaling ``(c,
+lambda, tau)`` by a power of two scales every iterate by it exactly.
 
 Each solve ends with a :class:`Certificate`: the objective and the two
 constraint violations of the returned iterate, and a duality gap from the
 dual point ``z_i = (y_i - p_i) / step`` of the last sweep.  It costs a few
 small spectral computations per mode, once, not per sweep.
 
-``rho`` defaults to 1.8: over-relaxation (``rho`` in (1, 2)) leaves the fixed
-points unchanged and cuts the sweeps the residual rule needs.  Measured at
-``tol`` 1e-3 on 2 cores with BLAS at one thread, lambda = tau = 1:
+``rho`` defaults to 1.5: over-relaxation (``rho`` in (1, 2)) leaves the fixed
+points unchanged and cuts the sweeps, up to a point.  Measured at ``tol``
+1e-3, lambda = tau = gamma = 1, on the seed-0 30x30x10 fit and a 5-fold CV
+over nine cells of 10x10x5 datasets 0/1/2 (violations relative to the radius):
 
-    ==================================  ===========  ==========  ==========
-    sweeps                              rho = 1.0    rho = 1.5   rho = 1.8
-    ==================================  ===========  ==========  ==========
-    30x30x10 fit, seed 0, modes 1/2/3   104/104/116  80/80/91    70/71/81
-    10x10x5 5-fold CV, 9 cells, seed 0  14,200       12,449      12,943
-    ==================================  ===========  ==========  ==========
+    ===============================  ==============  ==============  ==============
+                                     rho = 1.0       rho = 1.5       rho = 1.8
+    ===============================  ==============  ==============  ==============
+    fit sweeps, modes 1/2/3          26/26/29        28/29/34        41/42/62
+    CV sweeps, dataset 0             4,285           4,318           7,636
+    worst CV violation, by dataset   .012/.009/.014  .003/.003/.016  .014/.005/.019
+    CV solves, |gap| > 1e-2 obj.     24 of 279       13 of 279       21 of 279
+    ===============================  ==============  ==============  ==============
 
 The mode subproblems are independent, so they may run on mode threads.
 These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
@@ -77,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .exceptions import DivergenceError
+from .exceptions import DivergenceError, NumericalError
 from .linalg import backbone, nuclear_norm, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
 from .tensor import Tensor, block_rows, dot_rows, fold, unfold
@@ -105,26 +109,23 @@ class SolverConfig:
 
     ``lam`` and ``tau`` are the l-infinity and spectral constraint radii,
     ``epsilon`` the backbone ridge parameter, ``rho`` the relaxation factor
-    in (0, 2) (1.8 by default: over-relaxation takes fewer sweeps to the
-    same fixed points, see the module notes), and ``gamma`` the finite prox
-    step size for the two norm terms (projections ignore it).  The radii may
-    be infinite.
-    ``paper_faithful_steps`` switches the prox step size to ``4 * lam`` for
-    both norm terms instead of ``gamma``.  A mode subproblem stops after the
-    first sweep whose whole-state residual is at most ``tol`` times
-    ``max(||y||, 1)``, or after ``max_iter`` sweeps.  The thread count is not
-    part of the configuration: it changes no result, and is given to
+    in (0, 2) (1.5 by default: over-relaxation takes fewer sweeps to the
+    same fixed points, see the module notes), and ``gamma`` the prox step of
+    the two norm terms as a dimensionless multiple of the centre's rms entry
+    (projections ignore it).  The radii may be infinite.  A mode subproblem
+    stops after the first sweep whose whole-state residual is at most
+    ``tol`` times ``||y||``, or after ``max_iter`` sweeps.  The thread count
+    is not part of the configuration: it changes no result, and is given to
     :func:`fit` instead.
     """
 
     lam: float
     tau: float
     epsilon: float = 1.0
-    rho: float = 1.8
+    rho: float = 1.5
     gamma: float = 1.0
     max_iter: int = 1000
     tol: float = 1e-3
-    paper_faithful_steps: bool = False
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -165,10 +166,9 @@ class Certificate:
     When both violations are 0, ``gap`` bounds how far ``objective`` lies
     above the optimum; an infeasible ``x`` can have an objective below the
     optimum, and so a negative gap.  The dual point carries a rounding error
-    of about ``1e-16 * ||y|| / step``, so a step far below the scale of the
-    centre leaves a gap made of rounding.  ``exit`` is ``"zero"`` (0 is
-    feasible and returned with no sweep), ``"converged"`` (the residual rule
-    fired) or ``"max_iter"``.
+    of about ``1e-16 * ||y|| / step``, so a small ``gamma`` leaves a gap made
+    of rounding.  ``exit`` is ``"zero"`` (0 is feasible and returned with no
+    sweep), ``"converged"`` (the residual rule fired) or ``"max_iter"``.
     """
 
     objective: float
@@ -234,8 +234,9 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     ``center`` must be the mode-m unfolding of the backbone tensor.  Returns
     ``(w, trace)`` where ``w`` is the consensus iterate at termination and
     ``trace`` is a :class:`ModeTrace`: the relative residual
-    ``||y+ - y|| / max(||y||, 1)`` of each sweep, over all three copies, and
-    the exit :class:`Certificate`.  Returns exact zeros after no sweep when
+    ``||y+ - y|| / ||y||`` of each sweep, over all three copies, and the exit
+    :class:`Certificate`.  Raises :class:`NumericalError` for a non-finite
+    centre.  Returns exact zeros after no sweep when
     ``||center||_inf <= lam`` and ``||center||_spec <= tau``.  Otherwise
     terminates after the first sweep whose residual is at most ``cfg.tol``,
     or at ``cfg.max_iter``; raises :class:`DivergenceError` if the residual
@@ -250,6 +251,8 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     expected = (dims[m - 1], math.prod(dims) // dims[m - 1])
     if center.shape != expected:
         raise ValueError(f"center must be the {expected} mode-{m} unfolding, got {center.shape}")
+    if not np.isfinite(center).all():
+        raise NumericalError("center has a non-finite entry")
     return _ppxa(center, cfg)
 
 
@@ -258,7 +261,7 @@ def _ppxa(center, cfg):
     if np.max(np.abs(center)) <= cfg.lam and spectral_norm(center) <= cfg.tau:
         # 0 lies in both balls, and it is the unique minimiser of ||w||_1 + ||w||_*.
         return np.zeros_like(center), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
-    step = 4.0 * cfg.lam if cfg.paper_faithful_steps else cfg.gamma
+    step = cfg.gamma * float(np.linalg.norm(center)) / math.sqrt(center.size)
     ops = (
         lambda w: project_linf_ball(prox_l1(w, step), ctr),
         lambda w: prox_nuclear(w, step),
@@ -271,7 +274,7 @@ def _ppxa(center, cfg):
         p = np.stack([op(v) for op, v in zip(ops, y)])
         pbar = p.sum(axis=0) / len(ops)
         d = 2.0 * pbar - x - p  # y moves by rho * d
-        rel = cfg.rho * float(np.linalg.norm(d)) / max(float(np.linalg.norm(y)), 1.0)
+        rel = cfg.rho * float(np.linalg.norm(d)) / float(np.linalg.norm(y))
         if not math.isfinite(rel):
             raise DivergenceError(f"non-finite residual at iteration {t}", residuals)
         residuals.append(rel)

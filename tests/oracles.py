@@ -110,7 +110,7 @@ def ppxa_reference(center, ops, rho, tol, max_iter):
 
     ``ops`` are the prox/projection operators, one per term, each applied to
     its own copy.  Each sweep records the relative residual
-    ``||y+ - y|| / max(||y||, 1)``, the Frobenius norms taken over all the
+    ``||y+ - y|| / ||y||``, the Frobenius norms taken over all the
     copies ``y``; the run stops once it is at most ``tol`` or after
     ``max_iter`` sweeps.  Returns ``(x, residuals, y, p)``: the consensus
     iterate, the residual of each sweep, and the copies and operator outputs
@@ -125,7 +125,7 @@ def ppxa_reference(center, ops, rho, tol, max_iter):
         abar = np.sum(a, axis=0) / n
         steps = [2.0 * abar - x - a[i] for i in range(n)]
         size = float(np.linalg.norm(np.stack(copies)))
-        residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / max(size, 1.0))
+        residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / size)
         last = [w.copy() for w in copies]
         for i in range(n):
             copies[i] += rho * steps[i]

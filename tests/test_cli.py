@@ -72,6 +72,13 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_removed_step_flag_is_a_usage_error(data, tmp_path, capsys):
+    assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1",
+                 "--out", str(tmp_path / "w.tn"), "--paper-faithful-steps"]) == 2
+    assert "unrecognized arguments: --paper-faithful-steps" in capsys.readouterr().err
+    assert not (tmp_path / "w.tn").exists()
+
+
 def test_nan_parameter_is_bad_input(data, tmp_path, capsys):
     assert main(["fit", "--data", str(data), "--lambda", "nan", "--tau", "1",
                  "--out", str(tmp_path / "w.tn")]) == 1

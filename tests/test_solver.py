@@ -190,15 +190,25 @@ class TestSubproblem:
         windows = rels[: n_win * 10].reshape(n_win, 10).mean(axis=1)
         assert np.all(np.diff(windows) <= 1e-10)
 
-    def test_paper_faithful_steps_reach_same_optimum(self):
-        r = np.random.default_rng(11)
-        center = r.normal(size=(5, 4))
-        tight = dict(tol=1e-11, max_iter=50000)
-        w_default, _ = solve_subproblem(1, center, (5, 4), base_cfg(gamma=0.3, **tight))
-        w_faithful, _ = solve_subproblem(
-            1, center, (5, 4), base_cfg(paper_faithful_steps=True, **tight)
-        )
-        assert np.linalg.norm(w_default - w_faithful) <= 1e-5
+    @pytest.mark.parametrize("k", [-40, -20, -6, 0, 6, 20, 40])
+    def test_scaled_problem_has_the_scaled_answer(self, k):
+        # Scaling (c, lam, tau) by s scales the optimum by s; with a power of
+        # two, every iterate scales exactly, so the run is the same bit for bit.
+        center = np.random.default_rng(0).normal(size=(10, 50)) * 0.3
+        s = 2.0**k
+        w, trace = solve_subproblem(1, center, (10, 50), base_cfg(lam=0.1, tau=1.0))
+        ws, scaled = solve_subproblem(1, s * center, (10, 50), base_cfg(lam=0.1 * s, tau=s))
+        assert len(trace) > 1 and trace.certificate.exit == "converged"
+        np.testing.assert_array_equal((ws / s).view(np.uint64), w.view(np.uint64))
+        assert scaled.residuals == trace.residuals
+        cert = scaled.certificate
+        assert replace(
+            cert,
+            objective=cert.objective / s,
+            linf_violation=cert.linf_violation / s,
+            spectral_violation=cert.spectral_violation / s,
+            gap=cert.gap / s,
+        ) == trace.certificate
 
 
 def l1_box_conjugate_reference(z, ctr):
@@ -251,14 +261,16 @@ class TestCertificate:
 
     def _reference(self, center, cfg):
         ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
+        # gamma times the centre's rms entry.
+        step = cfg.gamma * float(np.linalg.norm(center)) / math.sqrt(center.size)
         ops = (
-            lambda w: project_linf_ball(prox_l1(w, cfg.gamma), ctr),
-            lambda w: prox_nuclear(w, cfg.gamma),
+            lambda w: project_linf_ball(prox_l1(w, step), ctr),
+            lambda w: prox_nuclear(w, step),
             lambda w: project_spectral_ball(w, ctr),
         )
         x, residuals, y, p = ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter)
         exit = "converged" if residuals[-1] <= cfg.tol else "max_iter"
-        return x, residuals, certificate_reference(x, y, p, ctr, cfg.gamma, exit)
+        return x, residuals, certificate_reference(x, y, p, ctr, step, exit)
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank_two"])
     def test_matches_direct_computation(self, kind, monkeypatch):
@@ -484,6 +496,18 @@ class TestFit:
         assert result.iterations_used == (3, 3, 3)
         assert not any(result.converged)
         assert [c.exit for c in result.certificates] == ["max_iter"] * 3
+
+    @pytest.mark.parametrize("lam,tau", [(0.1, 1.0), (0.5, 0.5)])
+    def test_tight_fit_is_certified_optimal(self, lam, tau):
+        # Each mode's exit certificate shows a feasible answer within 1e-8 of
+        # the optimum: the end-to-end optimality check that needs no outside solver.
+        ds, _ = generate(SimSpec(dims=(6, 5, 4), n=30, seed=0))
+        result = fit(ds, base_cfg(lam=lam, tau=tau, tol=1e-9, max_iter=20000))
+        for cert in result.certificates:
+            assert cert.exit == "converged"
+            assert cert.linf_violation <= 1e-8 * lam
+            assert cert.spectral_violation <= 1e-8 * tau
+            assert abs(cert.gap) <= 1e-8 * cert.objective
 
     @pytest.fixture(scope="class")
     def seed0_fits(self):

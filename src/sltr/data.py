@@ -18,6 +18,11 @@ class Dataset:
     is the canonical vectorization of sample ``i``; individual samples are
     materialized on demand.
 
+    The public constructor copies ``x`` and ``y``, so the caller's arrays
+    stay its own.  The package's own producers (:func:`sltr.simulate.generate`,
+    :func:`sltr.io.read_dataset`, :meth:`subset`) build fresh arrays and hand
+    them over instead, so the design matrix is held once.
+
     Parameters
     ----------
     dims : sequence of int
@@ -31,11 +36,25 @@ class Dataset:
     __slots__ = ("dims", "x", "y")
 
     def __init__(self, dims, x, y):
+        self._adopt(dims, x, y, copy=True)
+
+    @classmethod
+    def _own(cls, dims, x, y) -> "Dataset":
+        """A dataset that keeps ``x`` and ``y`` themselves (made read-only), not copies.
+
+        For fresh float64 arrays that nothing else holds; the checks are those
+        of the public constructor.
+        """
+        ds = cls.__new__(cls)
+        ds._adopt(dims, x, y, copy=False)
+        return ds
+
+    def _adopt(self, dims, x, y, copy):
         dims = tuple(int(p) for p in dims)
         if any(p <= 0 for p in dims):
             raise ValueError(f"dims must be strictly positive, got {dims}")
-        x = np.array(x, dtype=np.float64, copy=True)
-        y = np.array(y, dtype=np.float64, copy=True).ravel()
+        x = np.array(x, dtype=np.float64, copy=copy)
+        y = np.array(y, dtype=np.float64, copy=copy).ravel()
         if x.ndim != 2 or x.shape[1] != math.prod(dims):
             raise ValueError(f"x must be N x {math.prod(dims)}, got {x.shape}")
         if y.size != x.shape[0]:
@@ -64,7 +83,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New dataset restricted to the given sample indices (in order)."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.dims, self.x[idx], self.y[idx])
+        return Dataset._own(self.dims, self.x[idx], self.y[idx])
 
     def __repr__(self):
         return f"Dataset(n={self.n}, dims={self.dims})"

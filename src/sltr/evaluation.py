@@ -150,34 +150,36 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
     with the smallest mean MSE, breaking ties by the lexicographically
     smallest triple, so the winner does not depend on grid order.  A cell
     whose fit raises :class:`DivergenceError` on any fold is recorded as a
-    failure (MSE ``nan``) and not selected; if every cell fails, the
-    ``DivergenceError`` is raised with all their reasons.
+    failure (MSE ``nan``) and not selected, and its later folds are not
+    fitted; if every cell fails, the ``DivergenceError`` is raised with all
+    their reasons.  The loop is fold-major: each fold's (train, validation)
+    pair is built, used by every cell and freed before the next one, so a
+    call holds one split beside ``ds``.
     """
     cells = [(float(l), float(t), float(e)) for l, t, e in grid]
     if not cells:
         raise ValueError("empty parameter grid")
-    folds = fold_indices(ds.n, k, fold_seed)
+    cfgs = [replace(cfg_template, lam=lam, tau=tau, epsilon=eps) for lam, tau, eps in cells]
+    scores = [[] for _ in cells]
+    reasons = [None] * len(cells)  # why each cell diverged, on its first diverging fold
     all_idx = np.arange(ds.n)
-    splits = []
-    for f in folds:
+    for f in fold_indices(ds.n, k, fold_seed):
         train = ds.subset(np.setdiff1d(all_idx, f))
         val = ds.subset(f)
-        splits.append((train, val))
-    per_cell = []
-    failures = []
-    for cell in cells:
-        lam, tau, eps = cell
-        cfg = replace(cfg_template, lam=lam, tau=tau, epsilon=eps)
-        try:
-            scores = [
-                mse(val.y, predict(fit(train, cfg, threads=threads).w_hat, val.samples()))
-                for train, val in splits
-            ]
-        except DivergenceError as exc:
-            per_cell.append(math.nan)
-            failures.append((cell, str(exc)))
-            continue
-        per_cell.append(float(np.mean(scores)))
+        for i, cfg in enumerate(cfgs):
+            if reasons[i] is not None:
+                continue
+            try:
+                w = fit(train, cfg, threads=threads).w_hat
+            except DivergenceError as exc:
+                reasons[i] = str(exc)
+                continue
+            scores[i].append(mse(val.y, predict(w, val.samples())))
+        # One split at a time: the next fold's pair is built after this one is freed.
+        del train, val
+    per_cell = [math.nan if r is not None else float(np.mean(sc))
+                for sc, r in zip(scores, reasons)]
+    failures = [(c, r) for c, r in zip(cells, reasons) if r is not None]
     finite = [(v, c) for v, c in zip(per_cell, cells) if not math.isnan(v)]
     if not finite:
         raise DivergenceError(

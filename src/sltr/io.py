@@ -18,9 +18,23 @@ Dataset file::
     u64          N (sample count)
     N*P x f64    samples, sample-major, canonical layout within each sample
     N x f64      responses y
+
+:func:`read_dataset` reads the header alone, checks that the file holds
+exactly the payload the header describes, and only then allocates the
+design matrix and the responses and reads the payload straight into them
+(``readinto``; byteswapped in place on a big-endian host).  A file whose
+header claims more samples than it holds is rejected before anything of
+that size is allocated, and every malformed file raises the same
+:class:`FormatError`, message and offset, as :func:`decode_dataset` of its
+bytes.  :func:`decode_dataset` copies the payload out of its buffer, which
+the caller may go on to change.
 """
 
 from __future__ import annotations
+
+import os
+import stat
+import sys
 
 import numpy as np
 
@@ -51,20 +65,29 @@ _F64 = np.dtype("<f8")
 
 
 class _Reader:
-    """Sequential buffer reader that reports byte offsets on failure."""
+    """Sequential reader of a file's first bytes that reports byte offsets on failure.
 
-    def __init__(self, buf: bytes):
+    ``buf`` holds the file's first bytes and ``size`` is the length of the
+    whole file (``len(buf)`` when it is all in ``buf``).
+    """
+
+    def __init__(self, buf: bytes, size: int | None = None):
         self.buf = memoryview(buf).cast("B")  # slices of a memoryview are not copies
+        self.size = len(self.buf) if size is None else size
         self.offset = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.offset + n > len(self.buf):
+    def skip(self, n: int, what: str) -> int:
+        """Step over the next ``n`` bytes, a field named ``what``; return where it starts."""
+        if self.offset + n > self.size:
             raise FormatError(
                 f"truncated file: expected {n} more bytes for {what}", offset=self.offset
             )
-        out = self.buf[self.offset : self.offset + n]
         self.offset += n
-        return out
+        return self.offset - n
+
+    def take(self, n: int, what: str) -> memoryview:
+        at = self.skip(n, what)
+        return self.buf[at : at + n]
 
     def u32(self, what: str) -> int:
         return int(np.frombuffer(self.take(4, what), _U32)[0])
@@ -77,9 +100,9 @@ class _Reader:
         return np.frombuffer(self.take(8 * n, what), _F64)
 
     def done(self) -> None:
-        if self.offset != len(self.buf):
+        if self.offset != self.size:
             raise FormatError(
-                f"trailing data: {len(self.buf) - self.offset} unexpected bytes",
+                f"trailing data: {self.size - self.offset} unexpected bytes",
                 offset=self.offset,
             )
 
@@ -148,8 +171,8 @@ def encode_dataset(ds: Dataset) -> bytes:
     return b"".join(_dataset_parts(ds))
 
 
-def decode_dataset(buf: bytes) -> Dataset:
-    r = _Reader(buf)
+def _read_dataset_header(r: _Reader):
+    """``(dims, n, p_total)`` from the header of a dataset file."""
     _read_magic(r, DATASET_MAGIC)
     at = r.offset
     version = r.u32("version")
@@ -163,6 +186,12 @@ def decode_dataset(buf: bytes) -> Dataset:
     p_total = 1
     for p in dims:
         p_total *= p
+    return dims, n, p_total
+
+
+def decode_dataset(buf: bytes) -> Dataset:
+    r = _Reader(buf)
+    dims, n, p_total = _read_dataset_header(r)
     x = r.f64s(n * p_total, "sample payload").reshape(n, p_total)
     y = r.f64s(n, "responses")
     r.done()
@@ -190,4 +219,33 @@ def write_dataset(path, ds: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        return decode_dataset(fh.read())
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
+            return decode_dataset(fh.read())
+        # Magic, version and order, then the dims and the sample count; read()
+        # stops at the end of the file, so a short file is read whole.
+        head = fh.read(16)
+        if len(head) == 16:
+            order = int(np.frombuffer(head, _U32, offset=12)[0])
+            head += fh.read(min(8 * order + 8, info.st_size))
+        r = _Reader(head, info.st_size)
+        dims, n, p_total = _read_dataset_header(r)
+        x_at = r.skip(8 * n * p_total, "sample payload")
+        y_at = r.skip(8 * n, "responses")
+        r.done()
+        x = np.empty((n, p_total))
+        y = np.empty(n)
+        _read_f64s_into(fh, x, x_at, "sample payload")
+        _read_f64s_into(fh, y, y_at, "responses")
+    return Dataset._own(dims, x, y)
+
+
+def _read_f64s_into(fh, a: np.ndarray, at: int, what: str) -> None:
+    """Fill ``a`` with the little-endian f64s at the file's position ``at``."""
+    view = memoryview(a).cast("B")
+    got = fh.readinto(view)
+    if got != len(view):  # the file shrank after its size was checked
+        raise FormatError(f"truncated file: expected {len(view) - got} more bytes for {what}",
+                          offset=at + got)
+    if sys.byteorder == "big":
+        a.byteswap(inplace=True)

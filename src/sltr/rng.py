@@ -12,6 +12,12 @@ can regenerate identical datasets.  The recipe:
 * index selection: partial Fisher-Yates driven by the uniform stream
   (``j = i + floor(u_i * (n - i))``).
 
+The words are drawn in blocks of ``_BLOCK`` into the one output array, where
+the shift, the scale and the inverse CDF run in place.  Philox keeps its
+position between draws, so the blocks are one stream: ``n`` values are the
+same bits whatever the block size, and the first ``k`` of them are the ``k``
+values of a shorter draw.
+
 Stream ids: 0 = coefficient entries, 1 = sparsity mask, 2 = sample entries,
 3 = noise, 4 = cross-validation fold shuffle.
 """
@@ -39,22 +45,34 @@ STREAM_NOISE = 3
 STREAM_FOLDS = 4
 
 _INV_2_53 = 2.0 ** -53
+# Words per block: 512 KB of raw words, so a block stays in cache between its
+# conversion and the inverse CDF, and adds little to peak memory.
+_BLOCK = 1 << 16
 
 
-def _raw(seed: int, stream: int, n: int) -> np.ndarray:
+def _draw(seed: int, stream: int, n: int, normal: bool) -> np.ndarray:
     key = np.array([int(seed) % 2 ** 64, int(stream)], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw(n)
+    bitgen = np.random.Philox(key=key)
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        w = bitgen.random_raw(min(_BLOCK, n - start))
+        w >>= np.uint64(11)
+        blk = out[start : start + w.size]
+        np.add(w, 0.5, out=blk)  # w < 2^53 converts exactly
+        blk *= _INV_2_53
+        if normal:
+            ndtri(blk, out=blk)
+    return out
 
 
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """n doubles uniform on the open interval (0, 1)."""
-    w = _raw(seed, stream, n)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    return _draw(seed, stream, n, normal=False)
 
 
 def normals(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard normals via the inverse CDF on the pinned uniform stream."""
-    return ndtri(uniforms(seed, stream, n))
+    return _draw(seed, stream, n, normal=True)
 
 
 def shuffled_indices(n: int, k: int, seed: int, stream: int) -> np.ndarray:

@@ -68,7 +68,6 @@ def generate(spec: SimSpec):
         w = _low_rank_coefficient(dims, spec.low_rank, spec.seed)
     n_zero = int(math.floor(spec.sparsity_pct * p_total / 100.0 + 0.5))
     if n_zero:
-        w = w.copy()
         w[rng.shuffled_indices(p_total, n_zero, spec.seed, rng.STREAM_MASK)] = 0.0
     w_star = Tensor(dims, w)
 
@@ -76,7 +75,7 @@ def generate(spec: SimSpec):
     noise = rng.normals(spec.seed, rng.STREAM_NOISE, spec.n)
     y = dot_rows(x, w_star.data)
     y += spec.noise_alpha * noise
-    return Dataset(dims, x, y), w_star
+    return Dataset._own(dims, x, y), w_star
 
 
 def _low_rank_coefficient(dims, rank, seed):

@@ -76,7 +76,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,7 +242,10 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     or at ``cfg.max_iter``; raises :class:`DivergenceError` if the residual
     is not finite or grows a millionfold over that of the first sweep.  The
     error's trace holds the residuals of every sweep before that, and of the
-    sweep itself when it grew.
+    sweep itself when it grew.  A centre whose largest entry is below 1 is
+    solved scaled by the power of two that brings that entry into [1, 2),
+    radii with it, and ``w`` and the certificate are scaled back: the answer
+    is exactly the unit-scale answer scaled, and no norm underflows.
     """
     dims = tuple(int(p) for p in dims)
     if not 1 <= m <= len(dims):
@@ -253,7 +256,20 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
         raise ValueError(f"center must be the {expected} mode-{m} unfolding, got {center.shape}")
     if not np.isfinite(center).all():
         raise NumericalError("center has a non-finite entry")
-    return _ppxa(center, cfg)
+    top = float(np.max(np.abs(center)))
+    if not 0.0 < top < 1.0:
+        return _ppxa(center, cfg)
+    # Norms that square tiny entries underflow, and the solve is exact under
+    # powers of two: run it with the largest entry in [1, 2) and scale back.
+    k = 1 - math.frexp(top)[1]
+    w, trace = _ppxa(np.ldexp(center, k),
+                     replace(cfg, lam=math.ldexp(cfg.lam, k), tau=math.ldexp(cfg.tau, k)))
+    c = trace.certificate
+    certificate = Certificate(
+        *(math.ldexp(v, -k) for v in (c.objective, c.linf_violation, c.spectral_violation, c.gap)),
+        c.exit,
+    )
+    return np.ldexp(w, -k), ModeTrace(trace.residuals, certificate)
 
 
 def _ppxa(center, cfg):

@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +168,66 @@ class TestMalformed:
         with pytest.raises(FormatError, match="sample count") as info:
             sio.decode_dataset(buf)
         assert info.value.offset == 24
+
+
+def malformed_datasets():
+    """Byte strings that :func:`decode_dataset` rejects, one per failure it names."""
+    buf = sio.encode_dataset(special_dataset())
+    cases = [buf[:cut] for cut in range(len(buf))] + [buf + b"\0", buf + b"xyz"]
+    bad_magic = bytearray(buf)
+    bad_magic[3] ^= 0xFF
+    bad_version = bytearray(buf)
+    bad_version[8:12] = struct.pack("<I", 2)
+    return cases + [
+        bytes(bad_magic),
+        bytes(bad_version),
+        sio.encode_tensor(Tensor((1,), [1.0])),
+        b"SLTRDS1\n" + struct.pack("<II", 1, 0) + struct.pack("<Q", 1),
+        b"SLTRDS1\n" + struct.pack("<II", 1, 2) + struct.pack("<QQQ", 3, 0, 1),
+        b"SLTRDS1\n" + struct.pack("<II", 1, 1) + struct.pack("<QQ", 2, 0),
+    ]
+
+
+def format_error(read, arg):
+    with pytest.raises(FormatError) as info:
+        read(arg)
+    return str(info.value), info.value.offset
+
+
+class TestFileRead:
+    def test_file_errors_equal_buffer_errors(self, tmp_path):
+        path = tmp_path / "bad.ds"
+        for buf in malformed_datasets():
+            path.write_bytes(buf)
+            assert format_error(sio.read_dataset, path) == format_error(sio.decode_dataset, buf)
+
+    def test_oversized_sample_count_allocates_nothing(self, tmp_path):
+        # A header claiming 2**40 samples of 2 x 3 in a file of a few bytes.
+        path = tmp_path / "huge.ds"
+        path.write_bytes(b"SLTRDS1\n" + struct.pack("<II", 1, 2) + struct.pack("<QQQ", 2, 3, 2**40)
+                         + bytes(64))
+        tracemalloc.start()
+        try:
+            message, offset = format_error(sio.read_dataset, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "truncated" in message and "sample payload" in message and offset == 40
+        assert peak < 2**20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_read_from_a_pipe(self, tmp_path):
+        # A pipe has no size to check the header against; it is read whole.
+        ds = special_dataset()
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(sio.encode_dataset(ds),),
+                                  daemon=True)
+        writer.start()
+        back = sio.read_dataset(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.dims == ds.dims and same_bits(back.x, ds.x) and same_bits(back.y, ds.y)
 
 
 class TestFuzz:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from sltr.io import encode_dataset, encode_tensor
 from sltr.simulate import SimSpec, generate
 from sltr.solver import predict
 from sltr.evaluation import unfolding_ranks
@@ -35,6 +37,24 @@ class TestGenerate:
     def test_noiseless_responses_match_predict_exactly(self):
         ds, w_star = generate(SimSpec(dims=(3, 4, 2), n=8, sparsity_pct=60.0, noise_alpha=0.0, seed=2))
         np.testing.assert_array_equal(ds.y, predict(w_star, ds.samples()))
+
+    @pytest.mark.parametrize("spec,dataset_sha,tensor_sha", [
+        (SimSpec((10, 10, 5), n=40, seed=0),
+         "5e42962dd2a2f56f075f0735acf26448699393d61ac493630f71c7fbebe004e1",
+         "f26f5b64d04ccf4f154f008184de71a52cc2d982942e97122fca8b075e5abe64"),
+        (SimSpec((3, 4, 2), n=5, sparsity_pct=50, seed=7),
+         "4999ea78cd8b0d5309e879b8f948ba52a328dc40f186a4eb6f0b54d4f5857503",
+         "6746f8fde665cc62ee6203c350c9ef4ae20ee16cf6cb28906d3563edd34bc76d"),
+        (SimSpec((4, 3), n=3, sparsity_pct=30, seed=6, low_rank=1),
+         "f0d20cb5b94a31e3cfde9d52fdf601e7f341a05dabbe09987f33216228ad7b48",
+         "68e552980b3287808eb0e1ec2966964646f22bff2c60c4e75310d7f7c1cdf4fa"),
+    ])
+    def test_golden_digests(self, spec, dataset_sha, tensor_sha):
+        # The recipe is pinned across platforms and versions: these files are
+        # what every conforming generator emits for these specs.
+        ds, w_star = generate(spec)
+        assert hashlib.sha256(encode_dataset(ds)).hexdigest() == dataset_sha
+        assert hashlib.sha256(encode_tensor(w_star)).hexdigest() == tensor_sha
 
     def test_fixed_seed_bit_identical(self):
         spec = SimSpec(dims=(3, 3), n=2, sparsity_pct=50.0, noise_alpha=0.1, seed=42)

@@ -210,6 +210,27 @@ class TestSubproblem:
             gap=cert.gap / s,
         ) == trace.certificate
 
+    def test_tiny_centre_is_solved_at_unit_scale(self):
+        # Entries near 1e-170 square to 0, so an unscaled step or ||y|| would
+        # underflow; the answer is the unit-scale answer scaled back exactly.
+        center = np.random.default_rng(0).standard_normal((6, 8)) * 1e-170
+        k = 1 - math.frexp(float(np.max(np.abs(center))))[1]
+        w, trace = solve_subproblem(1, center, (6, 8), base_cfg(lam=1e-180, tau=1e-180))
+        wu, unit = solve_subproblem(1, np.ldexp(center, k), (6, 8),
+                                    base_cfg(lam=math.ldexp(1e-180, k), tau=math.ldexp(1e-180, k)))
+        assert 1.0 <= np.max(np.abs(np.ldexp(center, k))) < 2.0
+        assert len(unit) > 1 and unit.certificate.exit == "converged"
+        np.testing.assert_array_equal(np.ldexp(wu, -k).view(np.uint64), w.view(np.uint64))
+        assert trace.residuals == unit.residuals
+        cert = unit.certificate
+        assert trace.certificate == replace(
+            cert,
+            objective=math.ldexp(cert.objective, -k),
+            linf_violation=math.ldexp(cert.linf_violation, -k),
+            spectral_violation=math.ldexp(cert.spectral_violation, -k),
+            gap=math.ldexp(cert.gap, -k),
+        )
+
 
 def l1_box_conjugate_reference(z, ctr):
     """Conjugate of ``||w||_1`` on the l-inf ball, at ``z``, with ``lam`` finite.

@@ -19,22 +19,27 @@ Dataset file::
     N*P x f64    samples, sample-major, canonical layout within each sample
     N x f64      responses y
 
-:func:`read_dataset` reads the header alone, checks that the file holds
-exactly the payload the header describes, and only then allocates the
-design matrix and the responses and reads the payload straight into them
-(``readinto``; byteswapped in place on a big-endian host).  A file whose
-header claims more samples than it holds is rejected before anything of
-that size is allocated, and every malformed file raises the same
-:class:`FormatError`, message and offset, as :func:`decode_dataset` of its
-bytes.  :func:`decode_dataset` copies the payload out of its buffer, which
-the caller may go on to change.
+One reader parses each format from every source.  It works over a file
+object of known length and checks each field, the payload and the end of
+the file included, against that length before it reads or allocates the
+field; then it reads the payload straight into the arrays it returns
+(``readinto``; byteswapped in place on a big-endian host).  A header that
+claims more samples or entries than the file holds is rejected before
+anything of that size is allocated.  :func:`read_dataset` and
+:func:`read_tensor` read a regular file where it lies; a pipe, which has no
+length to check against, is read whole and parsed from memory, as are the
+buffers given to :func:`decode_dataset` and :func:`decode_tensor`.  A
+malformed file therefore raises the same :class:`FormatError`, message and
+offset, from every source, and nothing returned shares memory with the
+caller's buffer.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import stat
 import sys
+from io import BytesIO
 
 import numpy as np
 
@@ -65,19 +70,19 @@ _F64 = np.dtype("<f8")
 
 
 class _Reader:
-    """Sequential reader of a file's first bytes that reports byte offsets on failure.
+    """Sequential reader of a file object of known length that reports byte offsets on failure.
 
-    ``buf`` holds the file's first bytes and ``size`` is the length of the
-    whole file (``len(buf)`` when it is all in ``buf``).
+    Every field is checked against the length before it is read or allocated.
     """
 
-    def __init__(self, buf: bytes, size: int | None = None):
-        self.buf = memoryview(buf).cast("B")  # slices of a memoryview are not copies
-        self.size = len(self.buf) if size is None else size
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
         self.offset = 0
 
     def skip(self, n: int, what: str) -> int:
-        """Step over the next ``n`` bytes, a field named ``what``; return where it starts."""
+        """Claim the next ``n`` bytes, a field named ``what``; return where it starts."""
         if self.offset + n > self.size:
             raise FormatError(
                 f"truncated file: expected {n} more bytes for {what}", offset=self.offset
@@ -85,19 +90,32 @@ class _Reader:
         self.offset += n
         return self.offset - n
 
-    def take(self, n: int, what: str) -> memoryview:
-        at = self.skip(n, what)
-        return self.buf[at : at + n]
+    def take(self, n: int, what: str) -> bytes:
+        buf = bytearray(n)
+        self._fill(buf, self.skip(n, what), what)
+        return bytes(buf)
 
     def u32(self, what: str) -> int:
-        return int(np.frombuffer(self.take(4, what), _U32)[0])
+        return int.from_bytes(self.take(4, what), "little")
 
     def u64(self, what: str) -> int:
-        return int(np.frombuffer(self.take(8, what), _U64)[0])
+        return int.from_bytes(self.take(8, what), "little")
 
-    def f64s(self, n: int, what: str) -> np.ndarray:
-        # A read-only view of the buffer: Dataset and Tensor copy what they keep.
-        return np.frombuffer(self.take(8 * n, what), _F64)
+    def f64s(self, *fields) -> list:
+        """Arrays of the f64 ``(shape, what)`` fields that end the file, read straight into them.
+
+        All of them, and the end of the file, are checked before any is allocated.
+        """
+        starts = [self.skip(8 * math.prod(shape), what) for shape, what in fields]
+        self.done()
+        arrays = []
+        for (shape, what), at in zip(fields, starts):
+            a = np.empty(shape)
+            self._fill(a, at, what)
+            if sys.byteorder == "big":
+                a.byteswap(inplace=True)
+            arrays.append(a)
+        return arrays
 
     def done(self) -> None:
         if self.offset != self.size:
@@ -106,9 +124,23 @@ class _Reader:
                 offset=self.offset,
             )
 
+    def _fill(self, buf, at: int, what: str) -> None:
+        view = memoryview(buf).cast("B")
+        got = self.fh.readinto(view)
+        if got != len(view):  # the file shrank after its length was taken
+            raise FormatError(
+                f"truncated file: expected {len(view) - got} more bytes for {what}",
+                offset=at + got,
+            )
+
+
+def _file_reader(fh) -> _Reader:
+    """A reader of ``fh``, or of all its bytes in memory when it cannot seek (a pipe)."""
+    return _Reader(fh if fh.seekable() else BytesIO(fh.read()))
+
 
 def _read_magic(r: _Reader, magic: bytes) -> None:
-    got = bytes(r.take(len(magic), "magic"))
+    got = r.take(len(magic), "magic")
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
 
@@ -145,16 +177,15 @@ def encode_tensor(t: Tensor) -> bytes:
     return b"".join(_tensor_parts(t))
 
 
-def decode_tensor(buf: bytes) -> Tensor:
-    r = _Reader(buf)
+def _parse_tensor(r: _Reader) -> Tensor:
     _read_magic(r, TENSOR_MAGIC)
     dims = _read_dims(r)
-    p_total = 1
-    for p in dims:
-        p_total *= p
-    data = r.f64s(p_total, "tensor payload")
-    r.done()
+    (data,) = r.f64s(((math.prod(dims),), "tensor payload"))
     return Tensor(dims, data)
+
+
+def decode_tensor(buf: bytes) -> Tensor:
+    return _parse_tensor(_Reader(BytesIO(buf)))
 
 
 def _dataset_parts(ds: Dataset):
@@ -171,8 +202,7 @@ def encode_dataset(ds: Dataset) -> bytes:
     return b"".join(_dataset_parts(ds))
 
 
-def _read_dataset_header(r: _Reader):
-    """``(dims, n, p_total)`` from the header of a dataset file."""
+def _parse_dataset(r: _Reader) -> Dataset:
     _read_magic(r, DATASET_MAGIC)
     at = r.offset
     version = r.u32("version")
@@ -183,19 +213,12 @@ def _read_dataset_header(r: _Reader):
     n = r.u64("sample count")
     if n < 1:
         raise FormatError(f"sample count must be >= 1, got {n}", offset=at)
-    p_total = 1
-    for p in dims:
-        p_total *= p
-    return dims, n, p_total
+    x, y = r.f64s(((n, math.prod(dims)), "sample payload"), ((n,), "responses"))
+    return Dataset._own(dims, x, y)
 
 
 def decode_dataset(buf: bytes) -> Dataset:
-    r = _Reader(buf)
-    dims, n, p_total = _read_dataset_header(r)
-    x = r.f64s(n * p_total, "sample payload").reshape(n, p_total)
-    y = r.f64s(n, "responses")
-    r.done()
-    return Dataset(dims, x, y)
+    return _parse_dataset(_Reader(BytesIO(buf)))
 
 
 def _write_parts(path, parts) -> None:
@@ -210,7 +233,7 @@ def write_tensor(path, t: Tensor) -> None:
 
 def read_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
-        return decode_tensor(fh.read())
+        return _parse_tensor(_file_reader(fh))
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -219,33 +242,4 @@ def write_dataset(path, ds: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
-            return decode_dataset(fh.read())
-        # Magic, version and order, then the dims and the sample count; read()
-        # stops at the end of the file, so a short file is read whole.
-        head = fh.read(16)
-        if len(head) == 16:
-            order = int(np.frombuffer(head, _U32, offset=12)[0])
-            head += fh.read(min(8 * order + 8, info.st_size))
-        r = _Reader(head, info.st_size)
-        dims, n, p_total = _read_dataset_header(r)
-        x_at = r.skip(8 * n * p_total, "sample payload")
-        y_at = r.skip(8 * n, "responses")
-        r.done()
-        x = np.empty((n, p_total))
-        y = np.empty(n)
-        _read_f64s_into(fh, x, x_at, "sample payload")
-        _read_f64s_into(fh, y, y_at, "responses")
-    return Dataset._own(dims, x, y)
-
-
-def _read_f64s_into(fh, a: np.ndarray, at: int, what: str) -> None:
-    """Fill ``a`` with the little-endian f64s at the file's position ``at``."""
-    view = memoryview(a).cast("B")
-    got = fh.readinto(view)
-    if got != len(view):  # the file shrank after its size was checked
-        raise FormatError(f"truncated file: expected {len(view) - got} more bytes for {what}",
-                          offset=at + got)
-    if sys.byteorder == "big":
-        a.byteswap(inplace=True)
+        return _parse_dataset(_file_reader(fh))

@@ -141,13 +141,14 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
         raise ValueError(f"design has {p} columns but prod(dims) = {math.prod(dims)}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    # Reductions, not an N x P mask: a NaN carries through max and min.
+    if not all(np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0)) for a in (x, y)):
         raise NumericalError("backbone requires finite design and responses")
+    primal = p <= n
+    gram = x.T @ x if primal else x @ x.T
+    gram.flat[:: len(gram) + 1] += epsilon  # the ridge, added in place
     try:
-        if p <= n:
-            w = np.linalg.solve(x.T @ x + epsilon * np.eye(p), x.T @ y)
-        else:
-            w = x.T @ np.linalg.solve(x @ x.T + epsilon * np.eye(n), y)
+        w = np.linalg.solve(gram, x.T @ y) if primal else x.T @ np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
     return Backbone(tensor=tensorize(w, dims), epsilon=float(epsilon))

@@ -1,8 +1,11 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sltr import io as sio
-from sltr.cli import main
+from sltr.cli import _build_parser, main
 from sltr.evaluation import auc, kfold_cv
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig, fit
@@ -77,6 +80,27 @@ def test_removed_step_flag_is_a_usage_error(data, tmp_path, capsys):
                  "--out", str(tmp_path / "w.tn"), "--paper-faithful-steps"]) == 2
     assert "unrecognized arguments: --paper-faithful-steps" in capsys.readouterr().err
     assert not (tmp_path / "w.tn").exists()
+
+
+def test_removed_rho_flag_is_a_usage_error(data, tmp_path, capsys):
+    assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1",
+                 "--out", str(tmp_path / "w.tn"), "--rho", "1.5"]) == 2
+    assert "unrecognized arguments: --rho 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "w.tn").exists()
+
+
+def subcommand_flags(command):
+    """The destinations of a subcommand's options, ``--help`` left out."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+def test_solver_flags_are_the_solver_config_fields():
+    # A setting added to SolverConfig must reach both commands, and only as a field.
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert subcommand_flags("fit") - {"data", "out"} == fields | {"threads"}
+    assert (subcommand_flags("cv") - {"data", "grid_file", "folds", "seed"}
+            == fields - {"lam", "tau", "epsilon"} | {"threads"})
 
 
 def test_nan_parameter_is_bad_input(data, tmp_path, capsys):

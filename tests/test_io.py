@@ -188,6 +188,20 @@ def malformed_datasets():
     ]
 
 
+def malformed_tensors():
+    """Byte strings that :func:`decode_tensor` rejects, one per failure it names."""
+    buf = sio.encode_tensor(Tensor((5,), f64_from_bits(_SPECIAL_BITS)))
+    cases = [buf[:cut] for cut in range(len(buf))] + [buf + b"\0", buf + b"xyz"]
+    bad_magic = bytearray(buf)
+    bad_magic[3] ^= 0xFF
+    return cases + [
+        bytes(bad_magic),
+        sio.encode_dataset(special_dataset()),
+        b"SLTRTN1\n" + struct.pack("<I", 0),
+        b"SLTRTN1\n" + struct.pack("<IQQ", 2, 3, 0) + bytes(24),
+    ]
+
+
 def format_error(read, arg):
     with pytest.raises(FormatError) as info:
         read(arg)
@@ -201,33 +215,62 @@ class TestFileRead:
             path.write_bytes(buf)
             assert format_error(sio.read_dataset, path) == format_error(sio.decode_dataset, buf)
 
+    def test_tensor_file_errors_equal_buffer_errors(self, tmp_path):
+        path = tmp_path / "bad.tn"
+        for buf in malformed_tensors():
+            path.write_bytes(buf)
+            assert format_error(sio.read_tensor, path) == format_error(sio.decode_tensor, buf)
+
     def test_oversized_sample_count_allocates_nothing(self, tmp_path):
         # A header claiming 2**40 samples of 2 x 3 in a file of a few bytes.
-        path = tmp_path / "huge.ds"
-        path.write_bytes(b"SLTRDS1\n" + struct.pack("<II", 1, 2) + struct.pack("<QQQ", 2, 3, 2**40)
-                         + bytes(64))
-        tracemalloc.start()
-        try:
-            message, offset = format_error(sio.read_dataset, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        header = b"SLTRDS1\n" + struct.pack("<II", 1, 2) + struct.pack("<QQQ", 2, 3, 2**40)
+        message, offset, peak = traced_format_error(sio.read_dataset, header, tmp_path)
         assert "truncated" in message and "sample payload" in message and offset == 40
+        assert peak < 2**20
+
+    def test_oversized_tensor_allocates_nothing(self, tmp_path):
+        # A header claiming 2**20 x 2**20 = 2**40 entries.
+        header = b"SLTRTN1\n" + struct.pack("<IQQ", 2, 2**20, 2**20)
+        message, offset, peak = traced_format_error(sio.read_tensor, header, tmp_path)
+        assert "truncated" in message and "tensor payload" in message and offset == 28
         assert peak < 2**20
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_read_from_a_pipe(self, tmp_path):
         # A pipe has no size to check the header against; it is read whole.
         ds = special_dataset()
-        path = tmp_path / "fifo"
-        os.mkfifo(path)
-        writer = threading.Thread(target=path.write_bytes, args=(sio.encode_dataset(ds),),
-                                  daemon=True)
-        writer.start()
-        back = sio.read_dataset(path)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        back = read_through_a_pipe(sio.read_dataset, sio.encode_dataset(ds), tmp_path)
         assert back.dims == ds.dims and same_bits(back.x, ds.x) and same_bits(back.y, ds.y)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_tensor_read_from_a_pipe(self, tmp_path):
+        t = Tensor((5,), f64_from_bits(_SPECIAL_BITS))
+        back = read_through_a_pipe(sio.read_tensor, sio.encode_tensor(t), tmp_path)
+        assert back.dims == t.dims and same_bits(back.data, t.data)
+
+
+def traced_format_error(read, header, tmp_path):
+    """``(message, offset, tracemalloc peak)`` of reading ``header`` and 64 more bytes."""
+    path = tmp_path / "huge"
+    path.write_bytes(header + bytes(64))
+    tracemalloc.start()
+    try:
+        message, offset = format_error(read, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return message, offset, peak
+
+
+def read_through_a_pipe(read, buf, tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(buf,), daemon=True)
+    writer.start()
+    back = read(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return back
 
 
 class TestFuzz:

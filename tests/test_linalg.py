@@ -309,3 +309,13 @@ class TestBackbone:
             backbone(x, np.zeros(3), 1.0, (5,))
         with pytest.raises(NumericalError):
             backbone(np.full((3, 4), np.inf), np.zeros(3), 1.0, (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_one_non_finite_entry_raises(self, bad, where):
+        # One entry among finite ones, with entries of both signs around it.
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        y = np.random.default_rng(1).normal(size=5)
+        (x if where == "x" else y).flat[3] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            backbone(x, y, 1.0, (2, 3))

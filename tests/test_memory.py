@@ -2,7 +2,8 @@
 
 Each producer writes its samples into the array the ``Dataset`` keeps, so the
 design matrix is held once; what is left over is the block buffers of the
-random stream and of ``dot_rows``.  tracemalloc sees numpy's allocations.
+random stream and of ``dot_rows``.  The backbone holds its Gram matrix and no
+array the size of the design matrix.  tracemalloc sees numpy's allocations.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from sltr import io as sio
 from sltr.evaluation import kfold_cv
+from sltr.linalg import backbone
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig
 
@@ -44,6 +46,18 @@ def test_read_dataset(dataset, tmp_path):
     back, peak = traced_peak(sio.read_dataset, path)
     assert np.array_equal(back.x, dataset.x)
     assert peak <= 1.05 * back.x.nbytes
+
+
+def test_decode_dataset(dataset):
+    # The buffer is read in place: wrapping anything but bytes would copy it first.
+    back, peak = traced_peak(sio.decode_dataset, sio.encode_dataset(dataset))
+    assert np.array_equal(back.x, dataset.x)
+    assert peak <= 1.05 * back.x.nbytes
+
+
+def test_backbone(dataset):
+    _, peak = traced_peak(backbone, dataset.x, dataset.y, 1.0, dataset.dims)
+    assert peak <= 0.1 * dataset.x.nbytes
 
 
 def test_subset(dataset):

@@ -44,15 +44,12 @@ class TestConfig:
             ("lam", 0.0),
             ("tau", -1.0),
             ("epsilon", 0.0),
-            ("rho", 0.0),
-            ("rho", 2.0),
             ("gamma", 0.0),
             ("max_iter", 0),
             ("tol", 0.0),
             ("lam", math.nan),
             ("tau", math.nan),
             ("epsilon", math.nan),
-            ("rho", math.nan),
             ("gamma", math.nan),
             ("tol", math.nan),
             ("gamma", math.inf),
@@ -132,13 +129,29 @@ class TestSubproblem:
         with pytest.raises(NumericalError):
             solve_subproblem(1, center, (2, 2), base_cfg())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_iterate_raises_divergence(self):
-        # The three copies sum past the largest double on the first sweep.
+    def test_centre_near_the_largest_double_is_solved_at_unit_scale(self):
+        # Unscaled, the three copies would sum past the largest double on the
+        # first sweep; at unit scale the answer is the unit answer scaled back.
         center = np.full((3, 4), 1.5e308)
         center[1] *= -1.0
-        with pytest.raises(DivergenceError, match="non-finite residual at iteration 1"):
-            solve_subproblem(1, center, (3, 4), base_cfg())
+        k = 1 - math.frexp(1.5e308)[1]
+        w, trace = solve_subproblem(1, center, (3, 4), base_cfg())
+        wu, unit = solve_subproblem(1, np.ldexp(center, k), (3, 4),
+                                    base_cfg(lam=math.ldexp(0.5, k), tau=math.ldexp(1.0, k)))
+        assert len(unit) > 1 and unit.certificate.exit == "converged"
+        assert np.all(np.isfinite(w))
+        np.testing.assert_array_equal(np.ldexp(wu, -k).view(np.uint64), w.view(np.uint64))
+        assert trace.residuals == unit.residuals
+        # Scaled back, the objective is past the largest double and reads inf.
+        cert = unit.certificate
+        assert math.frexp(cert.objective)[1] - k > 1024
+        assert trace.certificate == replace(
+            cert,
+            objective=math.inf,
+            linf_violation=math.ldexp(cert.linf_violation, -k),
+            spectral_violation=math.ldexp(cert.spectral_violation, -k),
+            gap=math.ldexp(cert.gap, -k),
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_trace_holds_the_finite_sweeps(self, monkeypatch):
@@ -190,7 +203,21 @@ class TestSubproblem:
         windows = rels[: n_win * 10].reshape(n_win, 10).mean(axis=1)
         assert np.all(np.diff(windows) <= 1e-10)
 
-    @pytest.mark.parametrize("k", [-40, -20, -6, 0, 6, 20, 40])
+    def test_radii_past_the_double_range_at_unit_scale(self):
+        center = np.random.default_rng(0).normal(size=(6, 8))
+        # Radii that overflow at unit scale are infinite there: 0 is the answer.
+        w, trace = solve_subproblem(1, center * 1e-10, (6, 8), base_cfg(lam=1e305, tau=1e305))
+        assert trace.certificate.exit == "zero" and not w.any()
+        # Radii that underflow at unit scale act as the smallest positive double there.
+        k = 1 - math.frexp(float(np.max(np.abs(4 * center))))[1]
+        w, trace = solve_subproblem(1, 4 * center, (6, 8), base_cfg(lam=5e-324, tau=5e-324))
+        smallest = math.ldexp(5e-324, -k)
+        wu, unit = solve_subproblem(1, 4 * center, (6, 8), base_cfg(lam=smallest, tau=smallest))
+        assert k < 0 and trace.certificate.exit == "converged"
+        np.testing.assert_array_equal(w.view(np.uint64), wu.view(np.uint64))
+        assert trace == unit
+
+    @pytest.mark.parametrize("k", [-1000, -600, -400, -40, -20, -6, 0, 6, 20, 40, 400, 600, 1000])
     def test_scaled_problem_has_the_scaled_answer(self, k):
         # Scaling (c, lam, tau) by s scales the optimum by s; with a power of
         # two, every iterate scales exactly, so the run is the same bit for bit.
@@ -289,7 +316,7 @@ class TestCertificate:
             lambda w: prox_nuclear(w, step),
             lambda w: project_spectral_ball(w, ctr),
         )
-        x, residuals, y, p = ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter)
+        x, residuals, y, p = ppxa_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
         exit = "converged" if residuals[-1] <= cfg.tol else "max_iter"
         return x, residuals, certificate_reference(x, y, p, ctr, step, exit)
 
@@ -403,7 +430,7 @@ def four_copy_reference(center, cfg):
         lambda w: project_linf_ball(w, ctr),
         lambda w: project_spectral_ball(w, ctr),
     )
-    x, _, y, p = ppxa_reference(center, ops, cfg.rho, cfg.tol, cfg.max_iter)
+    x, _, y, p = ppxa_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
     z = [(y_i - p_i) / cfg.gamma for y_i, p_i in zip(y, p)]
     z1 = np.clip(z[0], -1.0, 1.0)
     z2 = z[1] / max(1.0, spectral_norm(z[1]))

@@ -2,7 +2,6 @@
 
 from .data import Dataset
 from .evaluation import (
-    BoundInputs,
     CvReport,
     auc,
     coefficient_error,
@@ -27,23 +26,12 @@ from .solver import (
     predict,
     solve_subproblem,
 )
-from .tensor import (
-    Tensor,
-    fold,
-    frobenius_norm,
-    inner,
-    l1_norm,
-    linf_norm,
-    tensorize,
-    unfold,
-    vectorize,
-)
+from .tensor import Tensor, fold, inner, unfold
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Backbone",
-    "BoundInputs",
     "Certificate",
     "ConstraintCenter",
     "CvReport",
@@ -64,12 +52,9 @@ __all__ = [
     "default_grid",
     "fit",
     "fold",
-    "frobenius_norm",
     "generate",
     "inner",
     "kfold_cv",
-    "l1_norm",
-    "linf_norm",
     "mse",
     "objective_and_gaps",
     "predict",
@@ -81,10 +66,8 @@ __all__ = [
     "spectral_norm",
     "svd",
     "tensor_nuclear_norm",
-    "tensorize",
     "theorem_bound",
     "three_mode_bound",
     "unfold",
     "unfolding_ranks",
-    "vectorize",
 ]

@@ -15,13 +15,15 @@ class Dataset:
     """N tensor samples plus N scalar responses.
 
     Samples are stored stacked as an ``N x P`` design matrix whose row ``i``
-    is the canonical vectorization of sample ``i``; individual samples are
-    materialized on demand.
+    is the canonical vectorization of sample ``i``; :meth:`sample` views one
+    row as a tensor.
 
-    The public constructor copies ``x`` and ``y``, so the caller's arrays
-    stay its own.  The package's own producers (:func:`sltr.simulate.generate`,
+    There are two ways in, as for :class:`~sltr.tensor.Tensor`.  The public
+    constructor copies ``x`` and ``y``, so the caller's arrays stay its own.
+    The package's own producers (:func:`sltr.simulate.generate`,
     :func:`sltr.io.read_dataset`, :meth:`subset`) build fresh arrays and hand
-    them over instead, so the design matrix is held once.
+    them over through the private ``_own`` instead, so the design matrix is
+    held once.
 
     Parameters
     ----------
@@ -73,16 +75,26 @@ class Dataset:
         return self.x.shape[0]
 
     def sample(self, i: int) -> Tensor:
-        """Sample ``i`` as a new tensor (a copy of row ``i`` of ``x``)."""
-        return Tensor(self.dims, self.x[i])
+        """Sample ``i`` as a tensor over a read-only view of row ``i`` of ``x``.
+
+        Nothing is copied; the view keeps all of ``x`` alive while the tensor lives.
+        """
+        return Tensor._own(self.dims, self.x[i])
 
     def samples(self):
         """Iterate over all samples as tensors."""
         return (self.sample(i) for i in range(self.n))
 
     def subset(self, indices) -> "Dataset":
-        """New dataset restricted to the given sample indices (in order)."""
-        idx = np.asarray(indices, dtype=np.intp)
+        """New dataset restricted to the given sample indices (in order).
+
+        The indices must be integers: a boolean or float array raises
+        :class:`ValueError` rather than being cast to row numbers.
+        """
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         return Dataset._own(self.dims, self.x[idx], self.y[idx])
 
     def __repr__(self):

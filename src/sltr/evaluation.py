@@ -16,7 +16,6 @@ from .tensor import Tensor, unfold
 
 __all__ = [
     "CvReport",
-    "BoundInputs",
     "mse",
     "coefficient_error",
     "auc",
@@ -42,38 +41,6 @@ class CvReport:
     selected: tuple
     fold_seed: int
     failures: tuple = ()
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the recovery-error bounds.
-
-    ``orth_rank`` is the orthogonal-rank bound R used by the general bound;
-    ``mode_ranks`` are the per-mode unfolding ranks used by the three-mode
-    bound.  Either may be omitted when the corresponding bound is not used.
-    """
-
-    lam: float
-    tau: float
-    dims: tuple
-    orth_rank: int | None = None
-    mode_ranks: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
-        if not (self.lam >= 0 and self.tau >= 0):
-            raise ValueError("lambda and tau must be non-negative")
-        if self.orth_rank is not None and self.orth_rank < 1:
-            raise ValueError(f"orth_rank must be >= 1, got {self.orth_rank}")
-        if self.mode_ranks is not None:
-            ranks = tuple(int(r) for r in self.mode_ranks)
-            object.__setattr__(self, "mode_ranks", ranks)
-            if len(ranks) != len(self.dims):
-                raise ValueError("need one rank per mode")
-            p_total = math.prod(self.dims)
-            for r, p in zip(ranks, self.dims):
-                if not 0 <= r <= min(p, p_total // p):
-                    raise ValueError(f"rank {r} impossible for a mode of size {p}")
 
 
 def mse(y, yhat) -> float:
@@ -188,32 +155,47 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
                     fold_seed=fold_seed, failures=tuple(failures))
 
 
-def theorem_bound(b: BoundInputs) -> float:
-    """General recovery bound ``4 sqrt(2) (lam sqrt(prod dims) + tau sqrt(R))``."""
-    if b.orth_rank is None:
-        raise ValueError("orth_rank required for the general bound")
-    return 4.0 * math.sqrt(2.0) * (
-        b.lam * math.sqrt(math.prod(b.dims)) + b.tau * math.sqrt(b.orth_rank)
-    )
+def theorem_bound(lam: float, tau: float, dims, orth_rank: int) -> float:
+    """General recovery bound ``4 sqrt(2) (lam sqrt(prod dims) + tau sqrt(R))``.
+
+    ``R = orth_rank`` bounds the orthogonal rank of the true coefficient.
+    """
+    dims = _bound_dims(lam, tau, dims)
+    if not orth_rank >= 1:
+        raise ValueError(f"orth_rank must be >= 1, got {orth_rank}")
+    return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(math.prod(dims)) + tau * math.sqrt(orth_rank))
 
 
-def three_mode_bound(b: BoundInputs) -> float:
-    """Sharper three-mode bound using per-mode unfolding ranks.
+def three_mode_bound(lam: float, tau: float, dims, mode_ranks) -> float:
+    """Sharper three-mode bound using the per-mode unfolding ranks ``mode_ranks``.
 
     ``4 sqrt(2) (lam sqrt(prod dims) + tau R')`` with
     ``R' = max_m sqrt(r_m * min of the other two ranks)``.
     """
-    if len(b.dims) != 3:
-        raise ValueError(f"three-mode bound needs a 3-mode shape, got {len(b.dims)} modes")
-    if b.mode_ranks is None:
-        raise ValueError("mode_ranks required for the three-mode bound")
-    r1, r2, r3 = b.mode_ranks
+    dims = _bound_dims(lam, tau, dims)
+    ranks = tuple(int(r) for r in mode_ranks)
+    if len(ranks) != len(dims):
+        raise ValueError("need one rank per mode")
+    p_total = math.prod(dims)
+    for r, p in zip(ranks, dims):
+        if not 0 <= r <= min(p, p_total // p):
+            raise ValueError(f"rank {r} impossible for a mode of size {p}")
+    if len(dims) != 3:
+        raise ValueError(f"three-mode bound needs a 3-mode shape, got {len(dims)} modes")
+    r1, r2, r3 = ranks
     r_prime = max(
         math.sqrt(r1 * min(r2, r3)),
         math.sqrt(r2 * min(r1, r3)),
         math.sqrt(r3 * min(r1, r2)),
     )
-    return 4.0 * math.sqrt(2.0) * (b.lam * math.sqrt(math.prod(b.dims)) + b.tau * r_prime)
+    return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(p_total) + tau * r_prime)
+
+
+def _bound_dims(lam, tau, dims) -> tuple:
+    """``dims`` as a tuple of ints, after checking that both radii are non-negative."""
+    if not (lam >= 0 and tau >= 0):
+        raise ValueError("lambda and tau must be non-negative")
+    return tuple(int(p) for p in dims)
 
 
 def unfolding_ranks(t: Tensor, rtol: float = 1e-8):

@@ -181,7 +181,7 @@ def _parse_tensor(r: _Reader) -> Tensor:
     _read_magic(r, TENSOR_MAGIC)
     dims = _read_dims(r)
     (data,) = r.f64s(((math.prod(dims),), "tensor payload"))
-    return Tensor(dims, data)
+    return Tensor._own(dims, data)
 
 
 def decode_tensor(buf: bytes) -> Tensor:

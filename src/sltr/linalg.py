@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import NumericalError
-from .tensor import Tensor, tensorize, unfold
+from .tensor import Tensor, unfold
 
 __all__ = [
     "SvdFactors",
@@ -43,18 +43,15 @@ _GRAM_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD ``a = u @ diag(s) @ v.T`` with ``s`` non-increasing, >= 0.
+    """The leading singular triplets of a matrix, ``s`` non-increasing and > 0.
 
-    A thresholded :func:`svd` holds only the leading triplets, those with
-    ``s`` above the threshold, so ``reconstruct`` then gives that part of ``a``.
+    :func:`svd` keeps those with ``s`` above its threshold, so ``(u * s) @ v.T``
+    is that part of the thin SVD ``a = u @ diag(s) @ v.T``.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,10 @@ class Backbone:
     epsilon: float
 
 
-def svd(a: np.ndarray, above: float | None = None) -> SvdFactors:
-    """Thin SVD of a matrix, or only its triplets with ``s > above``.
+def svd(a: np.ndarray, above: float) -> SvdFactors:
+    """The singular triplets of a matrix with ``s > above``.
 
-    Without a threshold this is the LAPACK SVD.
-
-    With ``above = t`` it is the thresholded spectral kernel: ``eigh`` of the
+    This is the thresholded spectral kernel: with ``above = t``, ``eigh`` of the
     smaller Gram matrix (``a a'`` or ``a' a``), whose eigenvectors with
     eigenvalue above ``t**2`` are the kept singular vectors on that side.
     Each kept singular value is recomputed as the norm of ``a`` projected on
@@ -84,9 +79,6 @@ def svd(a: np.ndarray, above: float | None = None) -> SvdFactors:
     built from it agree with the full SVD's to about ``2e-12 * ||a||_2``.
     """
     a = _finite_matrix(a)
-    if above is None:
-        u, s, vh = _lapack_svd(a, compute_uv=True)
-        return SvdFactors(u=u, s=s, v=vh.T)
     if not above >= 0:
         raise ValueError(f"threshold must be non-negative, got {above}")
     f = _gram_svd(a, above)
@@ -125,7 +117,7 @@ def tensor_nuclear_norm(t: Tensor) -> float:
 
 
 def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
-    """Ridge plug-in point ``tensorize((X'X + eps I)^-1 X'y)``.
+    """Ridge plug-in point: the tensor whose canonical vector is ``(X'X + eps I)^-1 X'y``.
 
     Solves the P x P primal system when P <= N and the mathematically
     identical N x N dual (Woodbury) system ``X'(XX' + eps I)^-1 y`` when
@@ -151,7 +143,7 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
         w = np.linalg.solve(gram, x.T @ y) if primal else x.T @ np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
-    return Backbone(tensor=tensorize(w, dims), epsilon=float(epsilon))
+    return Backbone(tensor=Tensor._own(dims, w), epsilon=float(epsilon))
 
 
 def _finite_matrix(a) -> np.ndarray:

@@ -21,6 +21,7 @@ Generation recipe for a given seed, in stream order (see :mod:`sltr.rng`):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -48,14 +49,15 @@ class SimSpec:
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         if any(p <= 0 for p in self.dims):
             raise ValueError(f"dims must be strictly positive, got {self.dims}")
-        if self.n < 1:
-            raise ValueError(f"need at least one sample, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.sparsity_pct <= 100.0:
             raise ValueError(f"sparsity_pct must lie in [0, 100], got {self.sparsity_pct}")
         if not self.noise_alpha >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha}")
-        if self.low_rank is not None and self.low_rank < 1:
-            raise ValueError(f"low_rank must be >= 1, got {self.low_rank}")
+        if self.low_rank is not None and (
+                not isinstance(self.low_rank, numbers.Integral) or self.low_rank < 1):
+            raise ValueError(f"low_rank must be an integer >= 1, got {self.low_rank!r}")
 
 
 def generate(spec: SimSpec):
@@ -69,7 +71,7 @@ def generate(spec: SimSpec):
     n_zero = int(math.floor(spec.sparsity_pct * p_total / 100.0 + 0.5))
     if n_zero:
         w[rng.shuffled_indices(p_total, n_zero, spec.seed, rng.STREAM_MASK)] = 0.0
-    w_star = Tensor(dims, w)
+    w_star = Tensor._own(dims, w)
 
     x = rng.normals(spec.seed, rng.STREAM_SAMPLES, spec.n * p_total).reshape(spec.n, p_total)
     noise = rng.normals(spec.seed, rng.STREAM_NOISE, spec.n)

@@ -394,9 +394,8 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     for t in per_mode[1:]:
         acc += t.data
     acc /= order
-    w_hat = Tensor(dims, acc)
     return FitResult(
-        w_hat=w_hat,
+        w_hat=Tensor._own(dims, acc),
         per_mode=per_mode,
         trace=tuple(trace for _, trace, _ in results),
         timings=Timings(

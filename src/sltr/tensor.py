@@ -1,4 +1,4 @@
-"""Dense M-order tensors and the unfold/fold/vectorize algebra.
+"""Dense M-order tensors and the unfold/fold algebra.
 
 Conventions used throughout the package:
 
@@ -22,18 +22,19 @@ __all__ = [
     "Tensor",
     "unfold",
     "fold",
-    "vectorize",
-    "tensorize",
     "inner",
     "dot_rows",
-    "frobenius_norm",
-    "l1_norm",
-    "linf_norm",
 ]
 
 
 class Tensor:
     """Immutable dense tensor of 64-bit reals.
+
+    There are two ways in.  The constructor copies ``data``, so the caller's
+    array stays its own.  The package's own producers build a fresh array,
+    or hold a read-only one (a row of a dataset's design matrix), and hand it
+    over through the private ``_own``, which runs the same checks and keeps
+    it (made read-only), so each tensor's entries are held once.
 
     Parameters
     ----------
@@ -46,12 +47,26 @@ class Tensor:
     __slots__ = ("dims", "data")
 
     def __init__(self, dims, data):
+        self._adopt(dims, data, copy=True)
+
+    @classmethod
+    def _own(cls, dims, data) -> "Tensor":
+        """A tensor that keeps ``data`` itself (made read-only), not a copy.
+
+        For fresh float64 arrays, or read-only ones the package holds; the
+        checks are those of the public constructor.
+        """
+        t = cls.__new__(cls)
+        t._adopt(dims, data, copy=False)
+        return t
+
+    def _adopt(self, dims, data, copy):
         dims = tuple(int(p) for p in dims)
         if len(dims) < 1:
             raise ValueError("tensor order must be at least 1")
         if any(p <= 0 for p in dims):
             raise ValueError(f"dims must be strictly positive, got {dims}")
-        arr = np.array(data, dtype=np.float64, copy=True).ravel()
+        arr = np.array(data, dtype=np.float64, copy=copy).ravel()
         if arr.size != math.prod(dims):
             raise ValueError(
                 f"data length {arr.size} does not match prod(dims) = {math.prod(dims)}"
@@ -75,15 +90,15 @@ class Tensor:
 
     @classmethod
     def from_array(cls, arr) -> "Tensor":
-        """Build a tensor from an M-dimensional array (any memory order)."""
+        """Build a tensor from an M-dimensional array (any memory order), copying it once."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim < 1:
             arr = arr.reshape(1)
-        return cls(arr.shape, arr.ravel(order="F"))
+        return cls._own(arr.shape, arr.flatten(order="F"))
 
     @classmethod
     def zeros(cls, dims) -> "Tensor":
-        return cls(dims, np.zeros(math.prod(tuple(dims))))
+        return cls._own(dims, np.zeros(math.prod(tuple(dims))))
 
     def to_array(self) -> np.ndarray:
         """View as an M-dimensional numpy array (read-only)."""
@@ -111,7 +126,10 @@ def unfold(t: Tensor, m: int) -> np.ndarray:
 
 
 def fold(a: np.ndarray, m: int, dims) -> Tensor:
-    """Inverse of :func:`unfold`: rebuild the tensor from its mode-m unfolding."""
+    """Inverse of :func:`unfold`: rebuild the tensor from its mode-m unfolding.
+
+    The result holds the one copy of ``a`` that reorders it into the canonical layout.
+    """
     dims = tuple(int(p) for p in dims)
     _check_mode(m, len(dims))
     a = np.asarray(a, dtype=np.float64)
@@ -121,20 +139,6 @@ def fold(a: np.ndarray, m: int, dims) -> Tensor:
         raise ValueError(f"expected a {expected} matrix for mode {m} of {dims}, got {a.shape}")
     arr = np.moveaxis(a.reshape((dims[m - 1],) + rest, order="F"), 0, m - 1)
     return Tensor.from_array(arr)
-
-
-def vectorize(t: Tensor) -> np.ndarray:
-    """Canonical flat vector of ``t`` (read-only view of the stored data)."""
-    return t.data
-
-
-def tensorize(v, dims) -> Tensor:
-    """Inverse of :func:`vectorize`: reshape a flat vector into a tensor."""
-    dims = tuple(int(p) for p in dims)
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != math.prod(dims):
-        raise ValueError(f"vector length {v.size} does not match prod(dims) = {math.prod(dims)}")
-    return Tensor(dims, v)
 
 
 def inner(a: Tensor, b: Tensor) -> float:
@@ -223,17 +227,3 @@ def dot_rows(x, w) -> np.ndarray:
 def _fsum_row(row, w) -> float:
     return math.fsum(np.multiply(row, w))
 
-
-def frobenius_norm(t: Tensor) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(t.data))
-
-
-def l1_norm(t: Tensor) -> float:
-    """Sum of absolute entries."""
-    return float(np.sum(np.abs(t.data)))
-
-
-def linf_norm(t: Tensor) -> float:
-    """Largest absolute entry."""
-    return float(np.max(np.abs(t.data)))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sltr import evaluation
 from sltr.evaluation import (
-    BoundInputs,
     auc,
     fold_indices,
     theorem_bound,
@@ -116,30 +115,29 @@ def _outer(*vectors):
 class TestBounds:
     def test_theorem_bound_closed_form(self):
         # sqrt(prod dims) = sqrt(36) = 6 and sqrt(R) = 2: 4 sqrt(2) (0.5 * 6 + 2 * 2)
-        b = BoundInputs(lam=0.5, tau=2.0, dims=(4, 9), orth_rank=4)
-        assert theorem_bound(b) == pytest.approx(28.0 * math.sqrt(2.0), rel=1e-15)
+        b = theorem_bound(0.5, 2.0, (4, 9), 4)
+        assert b == pytest.approx(28.0 * math.sqrt(2.0), rel=1e-15)
 
     def test_theorem_bound_is_zero_at_zero_radii(self):
-        assert theorem_bound(BoundInputs(lam=0.0, tau=0.0, dims=(3, 3), orth_rank=2)) == 0.0
+        assert theorem_bound(0.0, 0.0, (3, 3), 2) == 0.0
 
     def test_three_mode_bound_closed_form(self):
         # R' = max(sqrt(1 * 2), sqrt(2 * 1), sqrt(4 * 1)) = 2 and sqrt(2 * 2 * 4) = 4
-        b = BoundInputs(lam=0.25, tau=1.5, dims=(2, 2, 4), mode_ranks=(1, 2, 4))
-        assert three_mode_bound(b) == pytest.approx(4.0 * math.sqrt(2.0) * 4.0, rel=1e-15)
+        b = three_mode_bound(0.25, 1.5, (2, 2, 4), (1, 2, 4))
+        assert b == pytest.approx(4.0 * math.sqrt(2.0) * 4.0, rel=1e-15)
 
     def test_three_mode_bound_takes_the_largest_product(self):
         # R' = max(sqrt(3 * 1), sqrt(1 * 2), sqrt(2 * 1)) = sqrt(3)
-        b = BoundInputs(lam=0.0, tau=1.0, dims=(3, 3, 2), mode_ranks=(3, 1, 2))
-        assert three_mode_bound(b) == pytest.approx(4.0 * math.sqrt(2.0) * math.sqrt(3.0),
-                                                    rel=1e-15)
+        b = three_mode_bound(0.0, 1.0, (3, 3, 2), (3, 1, 2))
+        assert b == pytest.approx(4.0 * math.sqrt(2.0) * math.sqrt(3.0), rel=1e-15)
 
     def test_bounds_need_their_inputs(self):
-        with pytest.raises(ValueError, match="orth_rank"):
-            theorem_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2)))
-        with pytest.raises(ValueError, match="mode_ranks"):
-            three_mode_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2, 2)))
+        with pytest.raises(TypeError):
+            theorem_bound(1.0, 1.0, (2, 2))
+        with pytest.raises(TypeError):
+            three_mode_bound(1.0, 1.0, (2, 2, 2))
         with pytest.raises(ValueError, match="3-mode"):
-            three_mode_bound(BoundInputs(lam=1.0, tau=1.0, dims=(2, 2), mode_ranks=(1, 1)))
+            three_mode_bound(1.0, 1.0, (2, 2), (1, 1))
 
     @pytest.mark.parametrize("kw", [
         dict(lam=-1.0),
@@ -153,15 +151,26 @@ class TestBounds:
         dict(tau=math.nan),
     ])
     def test_bound_inputs_validation(self, kw):
-        args = dict(lam=1.0, tau=1.0, dims=(2, 3, 4))
+        # Each bound that takes the bad input rejects it; radii go to both.
+        args = dict(lam=1.0, tau=1.0, dims=(2, 3, 4), orth_rank=1, mode_ranks=(1, 1, 1))
         args.update(kw)
-        with pytest.raises(ValueError):
-            BoundInputs(**args)
+        general = {k: args[k] for k in ("lam", "tau", "dims", "orth_rank")}
+        three_mode = {k: args[k] for k in ("lam", "tau", "dims", "mode_ranks")}
+        if "mode_ranks" not in kw:
+            with pytest.raises(ValueError):
+                theorem_bound(**general)
+        if "orth_rank" not in kw:
+            with pytest.raises(ValueError):
+                three_mode_bound(**three_mode)
 
     def test_bound_inputs_normalise_to_int_tuples(self):
-        b = BoundInputs(lam=1.0, tau=1.0, dims=[2.0, 3, 4], mode_ranks=[2, 3.0, 4])
-        assert b.dims == (2, 3, 4) and b.mode_ranks == (2, 3, 4)
-        assert all(type(v) is int for v in b.dims + b.mode_ranks)
+        # Integral floats count as the ints they equal, in the rank checks too:
+        # a mode-1 rank of 2.0 is possible for 2 x 3 x 4, and 3.0 is not.
+        assert three_mode_bound(1.0, 1.0, [2.0, 3, 4], [2.0, 3, 4.0]) == three_mode_bound(
+            1.0, 1.0, (2, 3, 4), (2, 3, 4))
+        assert theorem_bound(1.0, 1.0, [2.0, 3, 4], 2) == theorem_bound(1.0, 1.0, (2, 3, 4), 2)
+        with pytest.raises(ValueError, match="rank 3 impossible"):
+            three_mode_bound(1.0, 1.0, (2.0, 3, 4), (3.0, 1, 1))
 
     def test_unfolding_ranks(self):
         r = np.random.default_rng(0)

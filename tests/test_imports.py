@@ -1,10 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or exports one it lacks.
 
 No linter is part of the test environment, so this is a small stand-in for
-pyflakes' F401 check, built on :mod:`ast`.  A name counts as used when the
-module reads it anywhere (attribute chains count by their first name) or
-lists it in ``__all__``.  An import whose statement carries ``# noqa: F401``
-is kept on purpose, e.g. a name other code looks up in the module.
+pyflakes' F401 and F822 checks, built on :mod:`ast`.  A name counts as used
+when the module reads it anywhere (attribute chains count by their first
+name) or lists it in ``__all__``.  An import whose statement carries
+``# noqa: F401`` is kept on purpose, e.g. a name other code looks up in the
+module.  Every name in a module's ``__all__`` must be defined at its top
+level, and the package's ``__all__`` must be exactly the names its
+``__init__`` imports, so a deleted name cannot linger as an export.
 """
 
 import ast
@@ -38,6 +41,28 @@ def unused_imports(source: str):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def exported(tree) -> list:
+    """The names listed in the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def stale_exports(source: str):
+    """Names in ``__all__`` that no top-level def, class or assignment of ``source`` defines."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in exported(tree) if name not in defined]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -58,3 +83,33 @@ def test_checker_finds_unused_names():
         "x: c = scipy.linalg.norm(1)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "b")]
+
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    names = exported(tree)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(imported)
+
+
+def test_export_checker_finds_stale_names():
+    source = (
+        "from a import b\n"
+        "__all__ = ['b', 'c', 'd', 'e', 'f', 'gone']\n"
+        "c = 1\n"
+        "d: int = 2\n"
+        "def e(): pass\n"
+        "class f: pass\n"
+    )
+    assert stale_exports(source) == ["b", "gone"]

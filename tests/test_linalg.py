@@ -20,32 +20,33 @@ def _gram_singular_values(a):
 
 
 class TestSvd:
+    # At threshold 0 the kernel keeps every nonzero singular triplet.
     def test_diagonal(self):
-        f = svd(np.diag([3.0, 1.0]))
+        f = svd(np.diag([3.0, 1.0]), above=0.0)
         np.testing.assert_allclose(f.s, [3.0, 1.0])
 
     def test_zeros(self):
-        f = svd(np.zeros((3, 4)))
-        np.testing.assert_array_equal(f.s, np.zeros(3))
+        f = svd(np.zeros((3, 4)), above=0.0)
+        assert f.s.shape == (0,) and f.u.shape == (3, 0) and f.v.shape == (4, 0)
 
     def test_reconstruction_and_ordering(self):
         r = np.random.default_rng(0)
         a = r.normal(size=(5, 7))
-        f = svd(a)
-        assert np.all(np.diff(f.s) <= 0) and np.all(f.s >= 0)
-        err = np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a)
+        f = svd(a, above=0.0)
+        assert np.all(np.diff(f.s) <= 0) and np.all(f.s > 0)
+        err = np.linalg.norm((f.u * f.s) @ f.v.T - a) / np.linalg.norm(a)
         assert err < 1e-10
 
     def test_sum_of_squares_is_squared_frobenius(self):
         r = np.random.default_rng(1)
         a = r.normal(size=(5, 7))
-        assert np.sum(svd(a).s ** 2) == pytest.approx(np.sum(a * a), rel=1e-12)
+        assert np.sum(svd(a, above=0.0).s ** 2) == pytest.approx(np.sum(a * a), rel=1e-12)
 
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             a = np.ones((2, 3))
             a[0, 0] = bad
-            for above in (None, 0.5):
+            for above in (0.0, 0.5):
                 with pytest.raises(NumericalError):
                     svd(a, above=above)
             with pytest.raises(NumericalError):

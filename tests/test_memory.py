@@ -1,11 +1,14 @@
-"""Peak memory of the data path, as multiples of the design matrix it makes or reads.
+"""Peak memory of the data path, as multiples of the array it makes or reads.
 
 Each producer writes its samples into the array the ``Dataset`` keeps, so the
 design matrix is held once; what is left over is the block buffers of the
-random stream and of ``dot_rows``.  The backbone holds its Gram matrix and no
-array the size of the design matrix.  tracemalloc sees numpy's allocations.
+random stream and of ``dot_rows``.  A tensor the package builds keeps the
+array it was built in, and a sample is a view of its row.  The backbone holds
+its Gram matrix and no array the size of the design matrix.  tracemalloc sees
+numpy's allocations.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,8 +19,10 @@ from sltr.evaluation import kfold_cv
 from sltr.linalg import backbone
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig
+from sltr.tensor import Tensor, fold
 
 SPEC = SimSpec((20, 20, 10), n=200, seed=0)  # a 6.4 MB design matrix
+DIMS = (100, 100, 50)  # a 4 MB tensor
 
 
 def traced_peak(fn, *args):
@@ -69,3 +74,37 @@ def test_kfold_cv_holds_one_split(dataset):
     cfg = SolverConfig(lam=1.0, tau=1.0, max_iter=5)
     _, peak = traced_peak(kfold_cv, dataset, [(1.0, 1.0, 1.0)], cfg)
     assert peak <= 1.5 * dataset.x.nbytes
+
+
+@pytest.fixture(scope="module")
+def tensor():
+    return Tensor(DIMS, np.random.default_rng(0).normal(size=math.prod(DIMS)))
+
+
+def test_read_tensor(tensor, tmp_path):
+    path = tmp_path / "t.tn"
+    sio.write_tensor(path, tensor)
+    back, peak = traced_peak(sio.read_tensor, path)
+    assert np.array_equal(back.data, tensor.data)
+    assert peak <= 1.05 * back.data.nbytes
+
+
+def test_decode_tensor(tensor):
+    back, peak = traced_peak(sio.decode_tensor, sio.encode_tensor(tensor))
+    assert np.array_equal(back.data, tensor.data)
+    assert peak <= 1.05 * back.data.nbytes
+
+
+def test_fold(tensor):
+    a = np.random.default_rng(1).normal(size=(DIMS[0], math.prod(DIMS[1:])))
+    t, peak = traced_peak(fold, a, 1, DIMS)
+    assert peak <= 1.05 * t.data.nbytes
+
+
+def test_samples_copy_nothing():
+    # Rows of 9,000 entries, as in the benchmark's data workload: what is
+    # left is a few hundred bytes of objects per sample.
+    ds = generate(SimSpec((30, 30, 10), n=100, seed=0))[0]
+    samples, peak = traced_peak(lambda: list(ds.samples()))
+    assert len(samples) == ds.n
+    assert peak <= 0.01 * ds.x.nbytes

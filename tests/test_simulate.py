@@ -24,6 +24,16 @@ class TestSpecValidation:
             SimSpec(dims=(3, 3), n=1, noise_alpha=-0.1)
         with pytest.raises(ValueError):
             SimSpec(dims=(3, 3), n=1, noise_alpha=math.nan)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=2.5)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=2.0)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=2, low_rank=1.5)
+
+    def test_integer_types_accepted(self):
+        spec = SimSpec(dims=(2, 2), n=np.int64(2), low_rank=np.int32(1))
+        assert generate(spec)[0].n == 2
 
 
 class TestGenerate:

@@ -26,7 +26,7 @@ from sltr.solver import (
     predict,
     solve_subproblem,
 )
-from sltr.tensor import Tensor, block_rows, l1_norm, unfold
+from sltr.tensor import Tensor, block_rows, unfold
 
 from oracles import ppxa_reference
 

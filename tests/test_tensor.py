@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sltr.tensor import (
-    Tensor,
-    fold,
-    frobenius_norm,
-    inner,
-    l1_norm,
-    linf_norm,
-    tensorize,
-    unfold,
-    vectorize,
-)
+from sltr.tensor import Tensor, fold, inner, unfold
 
 from oracles import layout_offset, unfold_oracle
 
@@ -45,6 +35,20 @@ class TestConstruction:
             t.data[0] = 9.0
         with pytest.raises(AttributeError):
             t.dims = (4,)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: Tensor(a.shape, a),
+        Tensor.from_array,
+        lambda a: fold(a, 1, (3, 2, 2)),
+        lambda a: fold(a, 2, (2, 3, 2)),
+    ], ids=["constructor", "from_array", "fold_mode1", "fold_mode2"])
+    def test_never_aliases_the_callers_array(self, make):
+        a = np.arange(12.0).reshape(3, 4)
+        t = make(a)
+        before = t.data.copy()
+        assert not np.shares_memory(t.data, a)
+        a[...] = -1.0
+        np.testing.assert_array_equal(t.data, before)
 
     def test_canonical_layout_offsets(self):
         dims = (2, 3, 2)
@@ -105,22 +109,11 @@ class TestUnfoldFold:
 class TestVectorize:
     def test_2x2_canonical_order(self):
         t = Tensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(vectorize(t), [1.0, 3.0, 2.0, 4.0])
+        np.testing.assert_array_equal(t.data, [1.0, 3.0, 2.0, 4.0])
 
     def test_one_dim_identity(self):
         t = Tensor((4,), [5.0, 6.0, 7.0, 8.0])
-        np.testing.assert_array_equal(vectorize(t), [5.0, 6.0, 7.0, 8.0])
-
-    @settings(deadline=None)
-    @given(dims=dims_strategy, seed=st.integers(0, 2 ** 31))
-    def test_tensorize_vectorize_round_trip(self, dims, seed):
-        t = random_tensor(dims, seed)
-        back = tensorize(vectorize(t), dims)
-        np.testing.assert_array_equal(back.data, t.data)
-
-    def test_tensorize_length_mismatch(self):
-        with pytest.raises(ValueError):
-            tensorize(np.zeros(5), (2, 3))
+        np.testing.assert_array_equal(t.data, [5.0, 6.0, 7.0, 8.0])
 
 
 class TestInnerAndNorms:
@@ -135,16 +128,7 @@ class TestInnerAndNorms:
     def test_inner_matches_vectorized_dot(self):
         a = random_tensor((3, 4, 2), 5)
         b = random_tensor((3, 4, 2), 6)
-        assert inner(a, b) == pytest.approx(float(vectorize(a) @ vectorize(b)), rel=1e-14)
-
-    def test_three_four_five(self):
-        t = Tensor((2, 3), [3.0, 0.0, 4.0, 0.0, 0.0, 0.0])
-        assert frobenius_norm(t) == 5.0
-
-    def test_l1_equals_mean_of_unfolding_l1(self):
-        t = random_tensor((2, 3, 4), 7)
-        per_mode = [np.sum(np.abs(unfold(t, m))) for m in (1, 2, 3)]
-        assert l1_norm(t) == pytest.approx(np.mean(per_mode), rel=1e-14)
+        assert inner(a, b) == pytest.approx(float(a.data @ b.data), rel=1e-14)
 
     @settings(deadline=None)
     @given(dims=dims_strategy, seed=st.integers(0, 2 ** 31))
@@ -152,6 +136,6 @@ class TestInnerAndNorms:
         t = random_tensor(dims, seed)
         for m in range(1, len(dims) + 1):
             a = unfold(t, m)
-            assert np.sum(np.abs(a)) == pytest.approx(l1_norm(t), rel=1e-12)
-            assert np.max(np.abs(a)) == linf_norm(t)
-            assert np.linalg.norm(a) == pytest.approx(frobenius_norm(t), rel=1e-12)
+            assert np.sum(np.abs(a)) == pytest.approx(np.sum(np.abs(t.data)), rel=1e-12)
+            assert np.max(np.abs(a)) == np.max(np.abs(t.data))
+            assert np.linalg.norm(a) == pytest.approx(np.linalg.norm(t.data), rel=1e-12)

@@ -59,8 +59,7 @@ def _print_table(header, rows):
 
 
 def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
-    return SolverConfig(lam=lam, tau=tau, epsilon=epsilon, gamma=args.gamma,
-                        max_iter=args.max_iter, tol=args.tol)
+    return SolverConfig(lam=lam, tau=tau, epsilon=epsilon, max_iter=args.max_iter, tol=args.tol)
 
 
 def _add_solver_flags(p, with_params=True):
@@ -70,8 +69,6 @@ def _add_solver_flags(p, with_params=True):
         p.add_argument("--tau", type=float, required=True, help="spectral constraint radius")
         p.add_argument("--epsilon", type=float, default=_DEFAULTS["epsilon"],
                        help="backbone ridge parameter")
-    p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"],
-                   help="prox step as a multiple of the centre's rms entry (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iter"],
                    help="sweeps per mode subproblem at most (default: %(default)s)")
     p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],

@@ -89,12 +89,16 @@ class Dataset:
         """New dataset restricted to the given sample indices (in order).
 
         The indices must be integers: a boolean or float array raises
-        :class:`ValueError` rather than being cast to row numbers.
+        :class:`ValueError` rather than being cast to row numbers.  They must
+        lie in ``[0, n)``: a negative index raises :class:`IndexError`, as an
+        index of ``n`` does, rather than counting from the end.
         """
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)
+        if idx.size and idx.min() < 0:
+            raise IndexError(f"index {idx.min()} is out of bounds for {self.n} samples")
         return Dataset._own(self.dims, self.x[idx], self.y[idx])
 
     def __repr__(self):

@@ -64,6 +64,9 @@ def coefficient_error(w_hat: Tensor, w_star: Tensor) -> float:
 
 def auc(scores, labels) -> float:
     """Area under the ROC curve (rank statistic, ties counted half)."""
+    # Imported here, not with sltr: scipy.stats takes 0.8 s and 40 MB to import.
+    from scipy.stats import rankdata
+
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.size != labels.size:
@@ -76,36 +79,16 @@ def auc(scores, labels) -> float:
     pos = labels == 1
     n_pos = int(np.count_nonzero(pos))
     n_neg = scores.size - n_pos
-    ranks = _average_ranks(scores)
+    ranks = rankdata(scores)
     u_stat = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)
-
-
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    boundaries = np.flatnonzero(np.diff(sorted_v) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [v.size]))
-    ranks = np.empty(v.size)
-    for a, b in zip(starts, stops):
-        ranks[order[a:b]] = 0.5 * (a + b + 1)
-    return ranks
 
 
 def fold_indices(n: int, k: int, fold_seed: int):
     """Seeded shuffle split into k contiguous folds (first ``n % k`` get the extra)."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    perm = rng.shuffled_indices(n, n, fold_seed, rng.STREAM_FOLDS)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(perm[start : start + size])
-        start += size
-    return folds
+    return np.array_split(rng.shuffled_indices(n, n, fold_seed, rng.STREAM_FOLDS), k)
 
 
 def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_seed: int = 0,

@@ -46,11 +46,13 @@ class SimSpec:
     low_rank: int | None = None
 
     def __post_init__(self):
+        if not all(isinstance(p, numbers.Integral) and p > 0 for p in self.dims):
+            raise ValueError(f"dims must be strictly positive integers, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
-        if any(p <= 0 for p in self.dims):
-            raise ValueError(f"dims must be strictly positive, got {self.dims}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 <= self.sparsity_pct <= 100.0:
             raise ValueError(f"sparsity_pct must lie in [0, 100], got {self.sparsity_pct}")
         if not self.noise_alpha >= 0:

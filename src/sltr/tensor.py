@@ -40,8 +40,9 @@ class Tensor:
     ----------
     dims : sequence of int
         Strictly positive mode sizes ``(p_1, ..., p_M)``, M >= 1.
-    data : array_like
-        ``prod(dims)`` reals in the canonical (mode-1-fastest) layout.
+    data : array_like, 1-D
+        ``prod(dims)`` reals in the canonical (mode-1-fastest) layout.  An
+        M-dimensional array goes through :meth:`from_array` instead.
     """
 
     __slots__ = ("dims", "data")
@@ -66,7 +67,9 @@ class Tensor:
             raise ValueError("tensor order must be at least 1")
         if any(p <= 0 for p in dims):
             raise ValueError(f"dims must be strictly positive, got {dims}")
-        arr = np.array(data, dtype=np.float64, copy=copy).ravel()
+        arr = np.array(data, dtype=np.float64, copy=copy)
+        if arr.ndim != 1:
+            raise ValueError(f"data must be 1-D, got {arr.ndim}-D; use Tensor.from_array")
         if arr.size != math.prod(dims):
             raise ValueError(
                 f"data length {arr.size} does not match prod(dims) = {math.prod(dims)}"

@@ -75,18 +75,15 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_removed_step_flag_is_a_usage_error(data, tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--paper-faithful-steps"], ["--rho", "1.5"], ["--gamma", "1"]],
+                         ids=lambda flag: flag[0])
+def test_removed_solver_flag_is_a_usage_error(flag, data, tmp_path, capsys):
     assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1",
-                 "--out", str(tmp_path / "w.tn"), "--paper-faithful-steps"]) == 2
-    assert "unrecognized arguments: --paper-faithful-steps" in capsys.readouterr().err
+                 "--out", str(tmp_path / "w.tn"), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "w.tn").exists()
-
-
-def test_removed_rho_flag_is_a_usage_error(data, tmp_path, capsys):
-    assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1",
-                 "--out", str(tmp_path / "w.tn"), "--rho", "1.5"]) == 2
-    assert "unrecognized arguments: --rho 1.5" in capsys.readouterr().err
-    assert not (tmp_path / "w.tn").exists()
+    assert main(["cv", "--data", str(data), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def subcommand_flags(command):

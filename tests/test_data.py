@@ -49,3 +49,9 @@ class TestSubset:
     def test_floats_are_not_row_numbers(self):
         with pytest.raises(ValueError, match="integers"):
             small_dataset().subset([0.7, 2.2])
+
+    @pytest.mark.parametrize("indices", [[3], [-1], [0, -3]])
+    def test_rows_outside_the_dataset_raise(self, indices):
+        # A negative row does not count from the end: it is out of range, as row n is.
+        with pytest.raises(IndexError):
+            small_dataset().subset(indices)

@@ -30,9 +30,18 @@ class TestSpecValidation:
             SimSpec(dims=(2, 2), n=2.0)
         with pytest.raises(ValueError):
             SimSpec(dims=(2, 2), n=2, low_rank=1.5)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2.7, 2), n=2)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2.0, 2), n=2)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=2, seed=1.5)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=2, seed=1.0)
 
     def test_integer_types_accepted(self):
-        spec = SimSpec(dims=(2, 2), n=np.int64(2), low_rank=np.int32(1))
+        spec = SimSpec(dims=(np.int64(2), 2), n=np.int64(2), seed=np.uint32(3),
+                       low_rank=np.int32(1))
         assert generate(spec)[0].n == 2
 
 

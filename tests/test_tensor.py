@@ -29,6 +29,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor((2, 3), np.zeros(5))
 
+    def test_rejects_data_that_is_not_1d(self):
+        # A 2-D array would be flattened in C order, not the canonical layout
+        # from_array uses, so it is refused rather than read the other way.
+        with pytest.raises(ValueError, match="1-D"):
+            Tensor((2, 2), [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="1-D"):
+            Tensor((1,), 5.0)
+        assert Tensor.from_array([[1.0, 2.0], [3.0, 4.0]]).data.tolist() == [1.0, 3.0, 2.0, 4.0]
+
     def test_data_is_read_only(self):
         t = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
@@ -37,7 +46,7 @@ class TestConstruction:
             t.dims = (4,)
 
     @pytest.mark.parametrize("make", [
-        lambda a: Tensor(a.shape, a),
+        lambda a: Tensor((a.size,), a.reshape(-1)),
         Tensor.from_array,
         lambda a: fold(a, 1, (3, 2, 2)),
         lambda a: fold(a, 2, (2, 3, 2)),

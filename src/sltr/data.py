@@ -88,12 +88,15 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New dataset restricted to the given sample indices (in order).
 
-        The indices must be integers: a boolean or float array raises
-        :class:`ValueError` rather than being cast to row numbers.  They must
-        lie in ``[0, n)``: a negative index raises :class:`IndexError`, as an
-        index of ``n`` does, rather than counting from the end.
+        The indices must be a 1-D sequence of integers: a scalar, a nested
+        list or a boolean or float array raises :class:`ValueError` rather
+        than being cast to row numbers.  They must lie in ``[0, n)``: a
+        negative index raises :class:`IndexError`, as an index of ``n`` does,
+        rather than counting from the end.
         """
         idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise ValueError(f"indices must be a 1-D sequence, got {indices!r}")
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)

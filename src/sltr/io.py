@@ -15,7 +15,7 @@ Dataset file::
     u32          version (currently 1)
     u32          M
     M x u64      dims
-    u64          N (sample count)
+    u64          N (sample count, at least 1: an empty dataset has no file)
     N*P x f64    samples, sample-major, canonical layout within each sample
     N x f64      responses y
 
@@ -189,6 +189,8 @@ def decode_tensor(buf: bytes) -> Tensor:
 
 
 def _dataset_parts(ds: Dataset):
+    if ds.n == 0:
+        raise ValueError("the dataset format holds at least one sample, got an empty dataset")
     header = (
         DATASET_MAGIC
         + np.asarray([DATASET_VERSION, len(ds.dims)], _U32).tobytes()

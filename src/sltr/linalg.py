@@ -59,7 +59,6 @@ class Backbone:
     """Ridge plug-in estimate around which the constraint balls are centered."""
 
     tensor: Tensor
-    epsilon: float
 
 
 def svd(a: np.ndarray, above: float) -> SvdFactors:
@@ -143,7 +142,7 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
         w = np.linalg.solve(gram, x.T @ y) if primal else x.T @ np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
-    return Backbone(tensor=Tensor._own(dims, w), epsilon=float(epsilon))
+    return Backbone(tensor=Tensor._own(dims, w))
 
 
 def _finite_matrix(a) -> np.ndarray:

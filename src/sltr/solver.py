@@ -16,17 +16,19 @@ prox is soft thresholding then the clamp into the ball (both act entry by
 entry; Yu, NeurIPS 2013), the nuclear norm, and the spectral ball.  Three
 copies ``y_i`` of the iterate, one per term, are advanced by their
 prox/projection operators ``p_i = prox(y_i)``, combined by an equal-weight
-average, and relaxed by ``rho``.  PPXA is Douglas-Rachford splitting on the
-product of the copies, so the change of the whole state ``y`` in one sweep
-(its fixed-point residual) never increases, and it is zero exactly at a
-fixed point, whose consensus iterate is a minimiser.  A sweep whose residual
-is at most ``tol`` times ``||y||`` (Frobenius norms over all three copies)
-ends the solve.  Watching the consensus iterate alone is not enough: it can
-stand still while the copies are far from a fixed point.  A centre for which
-0 lies in both balls is answered with 0, the unique minimiser, without a
-sweep.  Every centre is solved at unit scale, its largest entry brought
-into [1, 2) by a power of two, radii with it, and the answer scaled back,
-so no norm of a huge or tiny centre overflows or underflows.
+average, and relaxed by ``rho``.  The sweeps carry the copies alone: the
+consensus iterate is their mean, formed once, when the solve ends.  PPXA is
+Douglas-Rachford splitting on the product of the copies, so the change of
+the whole state ``y`` in one sweep (its fixed-point residual) never
+increases, and it is zero exactly at a fixed point, whose consensus iterate
+is a minimiser.  A sweep whose residual is at most ``tol`` times ``||y||``
+(Frobenius norms over all three copies) ends the solve.  Watching the
+consensus iterate alone is not enough: it can stand still while the copies
+are far from a fixed point.  A centre for which 0 lies in both balls is
+answered with 0, the unique minimiser, without a sweep.  Every centre is
+solved at unit scale, its largest entry brought into [1, 2) by a power of
+two, radii with it, and the answer scaled back, so no norm of a huge or
+tiny centre overflows or underflows.
 
 The prox step of the norm terms changes how fast the iterates reach a fixed
 point, not which one, so it is not a setting: it is taken from the problem,
@@ -92,9 +94,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +111,6 @@ __all__ = [
     "Certificate",
     "ModeTrace",
     "FitResult",
-    "Timings",
     "solve_subproblem",
     "fit",
     "predict",
@@ -153,13 +153,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class Timings:
-    backbone_s: float
-    mode_s: tuple[float, ...]
-    total_s: float
 
 
 @dataclass(frozen=True)
@@ -206,7 +199,7 @@ class ModeTrace:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimate plus per-mode solutions, traces and certificates, and timings.
+    """Estimate plus per-mode solutions, traces and certificates.
 
     ``trace[m-1]`` is the mode-m :class:`ModeTrace`.
     """
@@ -214,7 +207,6 @@ class FitResult:
     w_hat: Tensor
     per_mode: tuple[Tensor, ...]
     trace: tuple[ModeTrace, ...]
-    timings: Timings = field(repr=False)
 
     @property
     def certificates(self) -> tuple[Certificate, ...]:
@@ -243,12 +235,13 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     """Solve the mode-m subproblem around ``center`` by proximal splitting.
 
     ``center`` must be the mode-m unfolding of the backbone tensor.  Returns
-    ``(w, trace)`` where ``w`` is the consensus iterate at termination and
-    ``trace`` is a :class:`ModeTrace`: the relative residual
-    ``||y+ - y|| / ||y||`` of each sweep, over all three copies, and the exit
-    :class:`Certificate`.  Raises :class:`NumericalError` for a non-finite
-    centre.  Returns exact zeros after no sweep when
-    ``||center||_inf <= lam`` and ``||center||_spec <= tau``.  Otherwise
+    ``(w, trace)`` where ``w`` is the consensus iterate, the mean of the
+    three copies after the last sweep, and ``trace`` is a :class:`ModeTrace`:
+    the relative residual ``||y+ - y|| / ||y||`` of each sweep, over all
+    three copies, and the exit :class:`Certificate`.  Raises
+    :class:`NumericalError` for a non-finite centre.  Returns exact zeros
+    after no sweep when ``||center||_inf <= lam`` and
+    ``||center||_spec <= tau``.  Otherwise
     terminates after the first sweep whose residual is at most ``cfg.tol``,
     or at ``cfg.max_iter``; raises :class:`DivergenceError` if the residual
     is not finite or grows a millionfold over that of the first sweep.  The
@@ -275,33 +268,23 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     k = 1 - math.frexp(float(np.max(np.abs(center))))[1]
     with np.errstate(over="ignore"):
         lam, tau = np.maximum(np.ldexp([cfg.lam, cfg.tau], k), math.ulp(0.0)).tolist()
-    w, trace = _ppxa(np.ldexp(center, k), replace(cfg, lam=lam, tau=tau))
-    c = trace.certificate
-    with np.errstate(over="ignore"):
-        fields = np.ldexp([c.objective, c.linf_violation, c.spectral_violation, c.gap], -k)
-    return np.ldexp(w, -k), ModeTrace(trace.residuals, Certificate(*fields.tolist(), c.exit))
-
-
-def _ppxa(center, cfg):
-    ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
-    if np.max(np.abs(center)) <= cfg.lam and spectral_norm(center) <= cfg.tau:
+    ctr = ConstraintCenter(np.ldexp(center, k), lam, tau)
+    if np.max(np.abs(ctr.c)) <= lam and spectral_norm(ctr.c) <= tau:
         # 0 lies in both balls, and it is the unique minimiser of ||w||_1 + ||w||_*.
         return np.zeros_like(center), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
     # The centre's rms entry, capped by the radii and floored; see the module notes.
-    rms = float(np.linalg.norm(center)) / math.sqrt(center.size)
-    step = max(min(rms, max(cfg.lam, cfg.tau / math.sqrt(max(center.shape)))), 2.0**-52)
+    rms = float(np.linalg.norm(ctr.c)) / math.sqrt(ctr.c.size)
+    step = max(min(rms, max(lam, tau / math.sqrt(max(ctr.c.shape)))), 2.0**-52)
     ops = (
         lambda w: project_linf_ball(prox_l1(w, step), ctr),
         lambda w: prox_nuclear(w, step),
         lambda w: project_spectral_ball(w, ctr),
     )
-    y = np.stack([center] * len(ops))
-    x = center.copy()
+    y = np.stack([ctr.c] * 3)
     residuals = []
     for t in range(1, cfg.max_iter + 1):
         p = np.stack([op(v) for op, v in zip(ops, y)])
-        pbar = p.sum(axis=0) / len(ops)
-        d = 2.0 * pbar - x - p  # y moves by rho * d
+        d = (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p  # y moves by rho * d
         rel = _RHO * float(np.linalg.norm(d)) / float(np.linalg.norm(y))
         if not math.isfinite(rel):
             raise DivergenceError(f"non-finite residual at iteration {t}", residuals)
@@ -310,24 +293,19 @@ def _ppxa(center, cfg):
             raise DivergenceError(
                 f"residual grew {rel / residuals[0]:.1e}-fold by iteration {t}", residuals
             )
-        converged = rel <= cfg.tol
-        if converged or t == cfg.max_iter:
-            # z_i lies in the subdifferential of term i at p_i.
-            z = (y - p) / step
-        y += _RHO * d
-        x += _RHO * (pbar - x)
-        if converged:
+        if rel <= cfg.tol or t == cfg.max_iter:
             break
+        y += _RHO * d
+    z = (y - p) / step  # z_i lies in the subdifferential of term i at p_i
+    y += _RHO * d
+    x = y.sum(axis=0) / 3  # the consensus iterate: the mean of the copies
     l1, nuclear, linf_gap, spec_gap = objective_and_gaps(x, ctr)
     objective = l1 + nuclear
-    certificate = Certificate(
-        objective=objective,
-        linf_violation=float(max(linf_gap, 0.0)),
-        spectral_violation=float(max(spec_gap, 0.0)),
-        gap=float(objective - _dual_value(z, ctr)),
-        exit="converged" if converged else "max_iter",
-    )
-    return x, ModeTrace(tuple(residuals), certificate)
+    gap = objective - _dual_value(z, ctr)
+    with np.errstate(over="ignore"):
+        fields = np.ldexp([objective, max(linf_gap, 0.0), max(spec_gap, 0.0), gap], -k).tolist()
+    certificate = Certificate(*fields, "converged" if rel <= cfg.tol else "max_iter")
+    return np.ldexp(x, -k), ModeTrace(tuple(residuals), certificate)
 
 
 def _dual_value(z, ctr):
@@ -376,21 +354,16 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     Output, traces included, is identical for identical ``(ds, cfg)`` at
     every thread count.
     """
-    t_start = time.perf_counter()
-    t0 = time.perf_counter()
     bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims)
-    backbone_s = time.perf_counter() - t0
     dims = ds.dims
     order = len(dims)
     centers = [unfold(bb.tensor, m) for m in range(1, order + 1)]
 
     def task(m):
-        t1 = time.perf_counter()
         try:
-            w, trace = solve_subproblem(m, centers[m - 1], dims, cfg)
+            return solve_subproblem(m, centers[m - 1], dims, cfg)
         except DivergenceError as exc:
             raise DivergenceError(f"mode {m}: {exc}", exc.trace) from exc
-        return w, trace, time.perf_counter() - t1
 
     workers = default_thread_count() if threads is None else max(1, int(threads))
     if order > 1 and workers > 1:
@@ -399,7 +372,7 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     else:
         results = [task(m) for m in range(1, order + 1)]
 
-    per_mode = tuple(fold(w, m, dims) for m, (w, _, _) in enumerate(results, start=1))
+    per_mode = tuple(fold(w, m, dims) for m, (w, _) in enumerate(results, start=1))
     acc = per_mode[0].data.copy()
     for t in per_mode[1:]:
         acc += t.data
@@ -407,12 +380,7 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     return FitResult(
         w_hat=Tensor._own(dims, acc),
         per_mode=per_mode,
-        trace=tuple(trace for _, trace, _ in results),
-        timings=Timings(
-            backbone_s=backbone_s,
-            mode_s=tuple(sec for _, _, sec in results),
-            total_s=time.perf_counter() - t_start,
-        ),
+        trace=tuple(trace for _, trace in results),
     )
 
 

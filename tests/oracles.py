@@ -113,23 +113,23 @@ def ppxa_reference(center, ops, rho, tol, max_iter):
     ``||y+ - y|| / ||y||``, the Frobenius norms taken over all the
     copies ``y``; the run stops once it is at most ``tol`` or after
     ``max_iter`` sweeps.  Returns ``(x, residuals, y, p)``: the consensus
-    iterate, the residual of each sweep, and the copies and operator outputs
-    of the last sweep, as they were before its update.
+    iterate (the mean of the copies after the last update), the residual of
+    each sweep, and the copies and operator outputs of the last sweep, as
+    they were before its update.
     """
     n = len(ops)
     copies = [np.array(center, dtype=float) for _ in range(n)]
-    x = np.array(center, dtype=float)
     residuals = []
     for _ in range(max_iter):
         a = [op(w) for op, w in zip(ops, copies)]
-        abar = np.sum(a, axis=0) / n
-        steps = [2.0 * abar - x - a[i] for i in range(n)]
+        # The consensus iterate is the mean of the copies, so it is not carried.
+        reflected = (2.0 * np.sum(a, axis=0) - np.sum(copies, axis=0)) / n
+        steps = [reflected - a[i] for i in range(n)]
         size = float(np.linalg.norm(np.stack(copies)))
         residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / size)
         last = [w.copy() for w in copies]
         for i in range(n):
             copies[i] += rho * steps[i]
-        x += rho * (abar - x)
         if residuals[-1] <= tol:
             break
-    return x, residuals, last, a
+    return np.sum(copies, axis=0) / n, residuals, last, a

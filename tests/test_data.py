@@ -55,3 +55,9 @@ class TestSubset:
         # A negative row does not count from the end: it is out of range, as row n is.
         with pytest.raises(IndexError):
             small_dataset().subset(indices)
+
+    @pytest.mark.parametrize("indices", [1, np.int64(2), [[0, 1]]], ids=["int", "int64", "2-D"])
+    def test_indices_that_are_not_a_1d_sequence_raise(self, indices):
+        with pytest.raises(ValueError, match="1-D sequence, got") as err:
+            small_dataset().subset(indices)
+        assert repr(indices) in str(err.value)

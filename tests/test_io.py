@@ -89,6 +89,15 @@ class TestRoundTrip:
         assert sio.encode_tensor(t) == (b"SLTRTN1\n" + struct.pack("<I", 1)
                                         + struct.pack("<Q", 2) + struct.pack("<dd", 3.0, -0.0))
 
+    def test_empty_dataset_is_not_written(self, tmp_path):
+        # The format needs a sample, as the reader's "sample count" check says.
+        ds = Dataset((2, 2), np.empty((0, 4)), [])
+        with pytest.raises(ValueError, match="at least one sample"):
+            sio.encode_dataset(ds)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sio.write_dataset(tmp_path / "d.ds", ds)
+        assert not (tmp_path / "d.ds").exists()
+
     def test_non_contiguous_source(self):
         x = np.random.default_rng(1).normal(size=(3, 8))[:, ::2]
         ds = Dataset((4,), np.asfortranarray(x), [1.0, 2.0, 3.0])

@@ -301,10 +301,31 @@ def _feasible_points(center, lam, tau, r):
     return points
 
 
+def carried_consensus_reference(center, ops, rho, tol, max_iter):
+    """PPXA as Combettes and Pesquet write it, the consensus iterate ``x`` carried.
+
+    Returns ``(x, sweeps)``; each sweep moves ``x`` by ``rho (mean(p) - x)``.
+    """
+    y = [np.array(center, dtype=float) for _ in ops]
+    x = np.array(center, dtype=float)
+    for sweep in range(1, max_iter + 1):
+        p = [op(v) for op, v in zip(ops, y)]
+        pbar = np.sum(p, axis=0) / len(ops)
+        steps = [2.0 * pbar - x - p_i for p_i in p]
+        residual = rho * np.linalg.norm(np.stack(steps)) / np.linalg.norm(np.stack(y))
+        y = [y_i + rho * s for y_i, s in zip(y, steps)]
+        x += rho * (pbar - x)
+        if residual <= tol:
+            break
+    return x, sweep
+
+
 class TestCertificate:
     """The exit certificate against its definition, and against the primal problem."""
 
-    def _reference(self, center, cfg):
+    @staticmethod
+    def _ops(center, cfg):
+        """``(ctr, step, ops)`` of the three-copy splitting around ``center``."""
         ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
         # The centre's rms entry, capped by the larger radius's rms entry and
         # floored at one ulp of the centre's largest entry scaled into [1, 2).
@@ -316,6 +337,10 @@ class TestCertificate:
             lambda w: prox_nuclear(w, step),
             lambda w: project_spectral_ball(w, ctr),
         )
+        return ctr, step, ops
+
+    def _reference(self, center, cfg):
+        ctr, step, ops = self._ops(center, cfg)
         x, residuals, y, p = ppxa_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
         exit = "converged" if residuals[-1] <= cfg.tol else "max_iter"
         return x, residuals, certificate_reference(x, y, p, ctr, step, exit)
@@ -354,6 +379,26 @@ class TestCertificate:
         assert trace.residuals == tuple(residuals) and residuals[-1] <= cfg.tol
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_two", "converged"])
+    def test_agrees_with_the_carried_consensus_recursion(self, kind):
+        # The mean of the copies is the iterate that the paper's recursion
+        # carries.  Late residuals differ by rounding (cancellation in the
+        # step), so the sweeps and the answer are compared, not the residuals.
+        # The instances of the two tests above.
+        r = np.random.default_rng(6 if kind == "converged" else 5)
+        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=150)
+        if kind == "full_rank":
+            center = r.normal(size=(10, 50))
+        elif kind == "rank_two":
+            center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
+        else:
+            center, cfg = r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0)
+        w, trace = solve_subproblem(1, center, center.shape, cfg)
+        _, _, ops = self._ops(center, cfg)
+        x, sweeps = carried_consensus_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
+        assert len(trace) == sweeps
+        assert np.linalg.norm(w - x) <= 1e-13 * np.linalg.norm(x)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -538,8 +583,6 @@ class TestFit:
             assert mode_trace.residuals[-1] <= cfg.tol
             assert all(rel > cfg.tol for rel in mode_trace.residuals[:-1])
             assert mode_trace.certificate.exit == "converged"
-        assert result.timings.total_s > 0
-        assert len(result.timings.mode_s) == 3
 
     def test_max_iter_exit_reports_not_converged(self):
         ds = self._dataset(seed=7)

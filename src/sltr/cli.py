@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SltrError, OSError, ValueError) as exc:
+    except (SltrError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -75,7 +75,8 @@ def _add_solver_flags(p, with_params=True):
                    help="stop a mode once a sweep's residual, relative to the state, "
                         "is at most this (default: %(default)s)")
     p.add_argument("--threads", type=int, default=None,
-                   help="mode threads, one subproblem each (default: 1); "
+                   help="mode threads, one subproblem each (default: 1); more pay only "
+                        "where two modes are each large; "
                         "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
 
 
@@ -158,7 +159,9 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     w = sio.read_tensor(args.model)
     ds = sio.read_dataset(args.data)
-    yhat = predict(w, ds.samples())
+    if w.dims != ds.dims:
+        raise ValueError(f"dims mismatch: {w.dims} vs {ds.dims}")
+    yhat = predict(w, ds.x)
     with open(args.out, "w") as fh:
         fh.write("y_hat\n")
         for v in yhat.tolist():

@@ -124,7 +124,7 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
             except DivergenceError as exc:
                 reasons[i] = str(exc)
                 continue
-            scores[i].append(mse(val.y, predict(w, val.samples())))
+            scores[i].append(mse(val.y, predict(w, val.x)))
         # One split at a time: the next fold's pair is built after this one is freed.
         del train, val
     per_cell = [math.nan if r is not None else float(np.mean(sc))

@@ -46,9 +46,10 @@ class SimSpec:
     low_rank: int | None = None
 
     def __post_init__(self):
-        if not all(isinstance(p, numbers.Integral) and p > 0 for p in self.dims):
-            raise ValueError(f"dims must be strictly positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
+        dims = tuple(self.dims)
+        if not dims or not all(isinstance(p, numbers.Integral) and p > 0 for p in dims):
+            raise ValueError(f"dims must be one or more positive integers, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(int(p) for p in dims))
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.seed, numbers.Integral):
@@ -57,6 +58,8 @@ class SimSpec:
             raise ValueError(f"sparsity_pct must lie in [0, 100], got {self.sparsity_pct}")
         if not self.noise_alpha >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha}")
+        if math.isinf(self.noise_alpha):
+            raise ValueError(f"noise_alpha must be finite, got {self.noise_alpha}")
         if self.low_rank is not None and (
                 not isinstance(self.low_rank, numbers.Integral) or self.low_rank < 1):
             raise ValueError(f"low_rank must be an integer >= 1, got {self.low_rank!r}")

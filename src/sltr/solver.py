@@ -71,17 +71,20 @@ The mode subproblems are independent, so they may run on mode threads.
 These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
 the default is one, because a sweep of a small mode is mostly short numpy
 calls that hold the interpreter lock: two mode threads take turns and cost
-more CPU for little or no wall time.  They pay on large modes.  Measured
-on 2 cores with BLAS at one thread (wall time, median of 5 fits, lambda =
-tau = epsilon = 1):
+more CPU for little or no wall time.  They pay only where two modes are
+each large and a second core is free: below, only 60x60x20 gains (its modes
+take 0.32/0.25/0.09 s alone), and not in every set.  Wall time on a shared
+2-core host, BLAS at one thread, seed 0, lambda = tau = epsilon = 1, the
+medians of three sets of 5 alternating fits:
 
-    =================  ==========  ===========
-    shape, samples     one thread  two threads
-    =================  ==========  ===========
-    30x30x10, n=720    0.27 s      0.27 s
-    40x40x10, n=300    0.68 s      0.68 s
-    60x60x20, n=300    0.99 s      0.73 s
-    =================  ==========  ===========
+    =================  ==================  ==================
+    shape, samples     one thread          two threads
+    =================  ==================  ==================
+    30x30x10, n=720    0.21 / 0.24 / 0.21  0.22 / 0.25 / 0.22
+    40x40x10, n=300    0.17 / 0.18 / 0.18  0.18 / 0.17 / 0.18
+    60x60x20, n=300    0.88 / 0.85 / 0.86  0.66 / 0.90 / 0.89
+    100x100x20, n=100  1.40 / 1.54 / 1.34  1.33 / 1.41 / 1.23
+    =================  ==================  ==================
 
 With mode threads, pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``):
 each mode thread's BLAS calls otherwise start one BLAS thread per core, and
@@ -103,7 +106,7 @@ from .data import Dataset
 from .exceptions import DivergenceError, NumericalError
 from .linalg import backbone, nuclear_norm, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
-from .tensor import Tensor, block_rows, dot_rows, fold, unfold
+from .tensor import Tensor, dot_rows, fold, unfold
 from .tensor import inner  # noqa: F401  perfbench/spans.py traces sltr.solver.inner
 
 __all__ = [
@@ -223,11 +226,7 @@ class FitResult:
 
 
 def default_thread_count() -> int:
-    """Mode threads of a fit when none are given: 1.
-
-    Mode threads are opt-in: they pay only on large modes, and need BLAS
-    pinned to one thread (see the module notes).
-    """
+    """Mode threads of a fit when none are given: 1; they are opt-in (see the module notes)."""
     return 1
 
 
@@ -348,11 +347,10 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
 
     Computes the backbone once, solves the M mode subproblems, and averages
     the folded per-mode solutions.  ``threads`` mode subproblems run at a
-    time, each on its own thread; the default is
-    :func:`default_thread_count`, one.  More than one pays only on large
-    modes (see the module notes) and wants BLAS pinned to one thread.
-    Output, traces included, is identical for identical ``(ds, cfg)`` at
-    every thread count.
+    time, one thread each (default :func:`default_thread_count`, one); more
+    pay only where two modes are each large (see the module notes).  Output,
+    traces included, is identical for identical ``(ds, cfg)`` at every
+    thread count.
     """
     bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims)
     dims = ds.dims
@@ -384,30 +382,14 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     )
 
 
-def predict(w: Tensor, xs) -> np.ndarray:
-    """Predicted responses ``<w, x_i>`` for an iterable of sample tensors.
+def predict(w: Tensor, x) -> np.ndarray:
+    """Predicted responses ``<w, x_i>``, one per row of an ``N x P`` design matrix.
 
-    Each value equals :func:`sltr.tensor.inner` of ``w`` and the sample, bit
-    for bit.  The iterable is read once, one block of samples at a time, and
-    a sample whose dims differ from ``w``'s raises :class:`ValueError`.
+    Each is the correctly rounded sum of :func:`sltr.tensor.dot_rows`, equal to
+    :func:`sltr.tensor.inner` of ``w`` and the row's sample bit for bit.  A
+    width other than ``w.size`` raises :class:`ValueError`; callers check dims.
     """
-    rows = block_rows(w.size)
-    buf = np.empty((rows, w.size))
-    parts = []
-    k = 0
-    for x in xs:
-        if x.dims != w.dims:
-            # Samples before the bad one are summed first, so an error in one
-            # of them is raised ahead of the mismatch, as a row-by-row loop would.
-            dot_rows(buf[:k], w.data)
-            raise ValueError(f"dims mismatch: {w.dims} vs {x.dims}")
-        buf[k] = x.data
-        k += 1
-        if k == rows:
-            parts.append(dot_rows(buf, w.data))
-            k = 0
-    parts.append(dot_rows(buf[:k], w.data))
-    return np.concatenate(parts)
+    return dot_rows(x, w.data)
 
 
 def objective_and_gaps(w: np.ndarray, ctr: ConstraintCenter):

@@ -163,7 +163,7 @@ _BLOCK_ELEMENTS = 1 << 16
 _U2 = 2.0**-106  # squared unit roundoff of float64
 
 
-def block_rows(p: int) -> int:
+def _block_rows(p: int) -> int:
     """Rows per block for :func:`dot_rows` on rows of ``p`` elements."""
     return max(1, _BLOCK_ELEMENTS // max(1, p))
 
@@ -176,7 +176,7 @@ def dot_rows(x, w) -> np.ndarray:
     inf``, ``OverflowError`` for an overflowing partial sum), raised for the
     first such row.
 
-    Rows go in blocks of :func:`block_rows` rows.  A row of products ``p``
+    Rows go in blocks of ``_block_rows(P)`` rows.  A row of products ``p``
     (``P`` entries, largest magnitude ``M < 2**k``) is split against
     ``sigma = 2**(k + L)``, ``2**L >= P + 2``, into ``q = (p + sigma) - sigma``
     and ``p - q`` (error-free extraction, Rump, Ogita & Oishi, SIAM J. Sci.
@@ -204,7 +204,7 @@ def dot_rows(x, w) -> np.ndarray:
     out = np.empty(n)
     big_l = (p + 1).bit_length()  # 2**L >= P + 2
     bound_factor = 2.0 * p * p * _U2
-    step = block_rows(p)
+    step = _block_rows(p)
     for start in range(0, n, step):
         blk = x[start : start + step]
         prod = blk * w

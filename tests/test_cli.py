@@ -6,9 +6,11 @@ import pytest
 
 from sltr import io as sio
 from sltr.cli import _build_parser, main
+from sltr.data import Dataset
 from sltr.evaluation import auc, kfold_cv
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig, fit
+from sltr.tensor import Tensor
 
 
 def run(capsys, *argv):
@@ -62,6 +64,26 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "missing.tn"), "--data",
                  str(tmp_path / "missing.ds"), "--out", str(tmp_path / "p.txt")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_predict_rejects_a_model_of_other_dims(tmp_path, capsys):
+    model, data = tmp_path / "w.tn", tmp_path / "data.ds"
+    sio.write_tensor(model, Tensor.zeros((4,)))
+    sio.write_dataset(data, Dataset((2, 2), np.ones((3, 4)), np.zeros(3)))
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "p.txt")]) == 1
+    assert capsys.readouterr().err == "error: dims mismatch: (4,) vs (2, 2)\n"
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_predict_overflow_is_a_one_line_error(tmp_path, capsys):
+    model, data = tmp_path / "w.tn", tmp_path / "data.ds"
+    sio.write_tensor(model, Tensor((2,), [1e308, 1e308]))
+    sio.write_dataset(data, Dataset((2,), [[1.0, 1.0]], [0.0]))
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "p.txt")]) == 1
+    assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
+    assert not (tmp_path / "p.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "predict", "cv", "eval"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sltr.tensor
-from sltr.tensor import Tensor, block_rows, dot_rows, inner
+from sltr.tensor import Tensor, dot_rows, inner
 
 
 def fsum_rows(x, w):
@@ -83,7 +83,7 @@ class TestAgainstFsum:
 
     def test_rows_across_blocks(self):
         p = 3000
-        n = 3 * block_rows(p) + 1
+        n = 3 * sltr.tensor._block_rows(p) + 1
         r = np.random.default_rng(1)
         assert_matches_fsum(r.normal(size=(n, p)) * np.logspace(-30, 30, p), r.normal(size=p))
 

@@ -25,6 +25,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SimSpec(dims=(3, 3), n=1, noise_alpha=math.nan)
         with pytest.raises(ValueError):
+            SimSpec(dims=(2, 2), n=3, noise_alpha=math.inf)
+        with pytest.raises(ValueError):
+            SimSpec(dims=(), n=3)
+        with pytest.raises(ValueError):
             SimSpec(dims=(2, 2), n=2.5)
         with pytest.raises(ValueError):
             SimSpec(dims=(2, 2), n=2.0)

@@ -26,7 +26,7 @@ from sltr.solver import (
     predict,
     solve_subproblem,
 )
-from sltr.tensor import Tensor, block_rows, unfold
+from sltr.tensor import Tensor, inner, unfold
 
 from oracles import ppxa_reference
 
@@ -634,66 +634,29 @@ class TestPredict:
     def test_zero_model(self):
         ds, _ = generate(SimSpec(dims=(3, 3), n=4, seed=8))
         w = Tensor.zeros((3, 3))
-        np.testing.assert_array_equal(predict(w, ds.samples()), np.zeros(4))
+        np.testing.assert_array_equal(predict(w, ds.x), np.zeros(4))
 
     def test_self_normalized_sample(self):
         r = np.random.default_rng(9)
         w = Tensor((2, 3), r.normal(size=6))
-        x = Tensor((2, 3), w.data / float(w.data @ w.data))
-        assert predict(w, [x])[0] == pytest.approx(1.0, rel=1e-12)
+        x = w.data / float(w.data @ w.data)
+        assert predict(w, x[np.newaxis, :])[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_vectorized_dot_oracle(self):
         r = np.random.default_rng(10)
         w = Tensor((3, 2, 2), r.normal(size=12))
-        xs = [Tensor((3, 2, 2), r.normal(size=12)) for _ in range(5)]
-        got = predict(w, xs)
-        expected = [float(w.data @ x.data) for x in xs]
-        np.testing.assert_allclose(got, expected, rtol=1e-13)
+        x = r.normal(size=(5, 12))
+        expected = np.array([inner(w, Tensor(w.dims, row)) for row in x])
+        np.testing.assert_array_equal(predict(w, x).view(np.uint64), expected.view(np.uint64))
 
     def test_dims_mismatch(self):
         w = Tensor.zeros((2, 2))
         with pytest.raises(ValueError):
-            predict(w, [Tensor.zeros((4,))])
+            predict(w, np.zeros((1, 5)))
 
     def test_empty_iterable(self):
-        out = predict(Tensor.zeros((2, 3)), [])
+        out = predict(Tensor.zeros((2, 3)), np.zeros((0, 6)))
         assert out.dtype == np.float64 and out.shape == (0,)
-
-    def _blocks(self, seed=13):
-        # Big enough samples that a few of them fill a block.
-        dims = (100, 200)
-        r = np.random.default_rng(seed)
-        w = Tensor(dims, r.normal(size=20000))
-        rows = block_rows(w.size)
-        xs = [Tensor(dims, r.normal(size=20000)) for _ in range(2 * rows + 1)]
-        return w, rows, xs
-
-    def test_single_pass_generator_across_blocks(self):
-        w, _, xs = self._blocks()
-        got = predict(w, (x for x in xs))
-        expected = np.array([math.fsum(np.multiply(w.data, x.data)) for x in xs])
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-
-    def test_dims_mismatch_after_first_block(self):
-        w, rows, xs = self._blocks()
-        seen = []
-
-        def gen():
-            for x in xs[: rows + 1]:
-                seen.append(1)
-                yield x
-            yield Tensor.zeros((200, 100))
-            seen.append("past the bad sample")
-
-        with pytest.raises(ValueError, match="dims mismatch"):
-            predict(w, gen())
-        assert len(seen) == rows + 1
-
-    def test_error_in_earlier_sample_wins_over_mismatch(self):
-        # As in a row-by-row loop, fsum's OverflowError on sample 0 comes first.
-        w = Tensor((2,), [1e308, 1e308])
-        with pytest.raises(OverflowError):
-            predict(w, [Tensor((2,), [1.0, 1.0]), Tensor((3,), [1.0, 1.0, 1.0])])
 
 
 class TestObjectiveAndGaps:

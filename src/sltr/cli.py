@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SltrError, OSError, ValueError, OverflowError) as exc:
+    except (SltrError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -47,9 +47,7 @@ def _parse_dims(text: str):
         dims = tuple(int(p) for p in parts if p)
     except ValueError:
         raise ValueError(f"cannot parse dims {text!r}; use e.g. 20x20x5") from None
-    if not dims:
-        raise ValueError(f"cannot parse dims {text!r}; use e.g. 20x20x5")
-    return dims
+    return dims  # SimSpec checks the sizes
 
 
 def _print_table(header, rows):

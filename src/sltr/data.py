@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _dims
 
 __all__ = ["Dataset"]
 
@@ -28,7 +28,7 @@ class Dataset:
     Parameters
     ----------
     dims : sequence of int
-        Mode sizes shared by every sample.
+        Mode sizes shared by every sample, by the size rule of :mod:`sltr.tensor`.
     x : array_like, shape (N, prod(dims))
         Vectorized samples, canonical layout per row.
     y : array_like, shape (N,)
@@ -52,9 +52,7 @@ class Dataset:
         return ds
 
     def _adopt(self, dims, x, y, copy):
-        dims = tuple(int(p) for p in dims)
-        if any(p <= 0 for p in dims):
-            raise ValueError(f"dims must be strictly positive, got {dims}")
+        dims = _dims(dims)
         x = np.array(x, dtype=np.float64, copy=copy)
         y = np.array(y, dtype=np.float64, copy=copy).ravel()
         if x.ndim != 2 or x.shape[1] != math.prod(dims):

@@ -12,7 +12,7 @@ from .data import Dataset
 from .exceptions import DivergenceError
 from .linalg import singular_values
 from .solver import SolverConfig, fit, predict
-from .tensor import Tensor, unfold
+from .tensor import Tensor, _integer, unfold
 
 __all__ = [
     "CvReport",
@@ -85,8 +85,8 @@ def auc(scores, labels) -> float:
 
 
 def fold_indices(n: int, k: int, fold_seed: int):
-    """Seeded shuffle split into k contiguous folds (first ``n % k`` get the extra)."""
-    if not 2 <= k <= n:
+    """Seeded shuffle into ``2 <= k <= n`` contiguous folds (first ``n % k`` get the extra)."""
+    if _integer("k", k, 2) > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     return np.array_split(rng.shuffled_indices(n, n, fold_seed, rng.STREAM_FOLDS), k)
 
@@ -104,7 +104,8 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
     fitted; if every cell fails, the ``DivergenceError`` is raised with all
     their reasons.  The loop is fold-major: each fold's (train, validation)
     pair is built, used by every cell and freed before the next one, so a
-    call holds one split beside ``ds``.
+    call holds one split beside ``ds``.  ``k`` and ``threads`` follow the
+    size rule of :mod:`sltr.tensor`.
     """
     cells = [(float(l), float(t), float(e)) for l, t, e in grid]
     if not cells:
@@ -143,7 +144,7 @@ def theorem_bound(lam: float, tau: float, dims, orth_rank: int) -> float:
 
     ``R = orth_rank`` bounds the orthogonal rank of the true coefficient.
     """
-    dims = _bound_dims(lam, tau, dims)
+    (dims,) = _bound_sizes(lam, tau, dims)
     if not orth_rank >= 1:
         raise ValueError(f"orth_rank must be >= 1, got {orth_rank}")
     return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(math.prod(dims)) + tau * math.sqrt(orth_rank))
@@ -155,8 +156,7 @@ def three_mode_bound(lam: float, tau: float, dims, mode_ranks) -> float:
     ``4 sqrt(2) (lam sqrt(prod dims) + tau R')`` with
     ``R' = max_m sqrt(r_m * min of the other two ranks)``.
     """
-    dims = _bound_dims(lam, tau, dims)
-    ranks = tuple(int(r) for r in mode_ranks)
+    dims, ranks = _bound_sizes(lam, tau, dims, mode_ranks)
     if len(ranks) != len(dims):
         raise ValueError("need one rank per mode")
     p_total = math.prod(dims)
@@ -166,19 +166,19 @@ def three_mode_bound(lam: float, tau: float, dims, mode_ranks) -> float:
     if len(dims) != 3:
         raise ValueError(f"three-mode bound needs a 3-mode shape, got {len(dims)} modes")
     r1, r2, r3 = ranks
-    r_prime = max(
-        math.sqrt(r1 * min(r2, r3)),
-        math.sqrt(r2 * min(r1, r3)),
-        math.sqrt(r3 * min(r1, r2)),
-    )
+    r_prime = math.sqrt(max(r1 * min(r2, r3), r2 * min(r1, r3), r3 * min(r1, r2)))
     return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(p_total) + tau * r_prime)
 
 
-def _bound_dims(lam, tau, dims) -> tuple:
-    """``dims`` as a tuple of ints, after checking that both radii are non-negative."""
+def _bound_sizes(lam, tau, *sizes) -> list:
+    """Check that both radii are >= 0; return each of ``sizes`` as ints (2.0 is 2, 2.5 raises)."""
     if not (lam >= 0 and tau >= 0):
         raise ValueError("lambda and tau must be non-negative")
-    return tuple(int(p) for p in dims)
+    sizes = [tuple(s) for s in sizes]
+    ints = [tuple(int(v) for v in s) for s in sizes]
+    if ints != sizes:
+        raise ValueError(f"dims and ranks must be whole numbers, got {sizes}")
+    return ints
 
 
 def unfolding_ranks(t: Tensor, rtol: float = 1e-8):

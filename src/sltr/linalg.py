@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import NumericalError
-from .tensor import Tensor, unfold
+from .tensor import Tensor, _dims, unfold
 
 __all__ = [
     "SvdFactors",
@@ -124,7 +124,7 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
     """
     x = _as_matrix(x)
     y = np.asarray(y, dtype=np.float64).ravel()
-    dims = tuple(int(p) for p in dims)
+    dims = _dims(dims)
     n, p = x.shape
     if y.size != n:
         raise ValueError(f"design has {n} rows but y has {y.size} entries")

@@ -21,7 +21,6 @@ Generation recipe for a given seed, in stream order (see :mod:`sltr.rng`):
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -29,14 +28,17 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .tensor import Tensor, dot_rows
+from .tensor import Tensor, _dims, _integer, dot_rows
 
 __all__ = ["SimSpec", "generate"]
 
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Shape, sample count, sparsity %, noise level, seed, optional rank."""
+    """Shape, sample count, sparsity %, noise level, seed, optional rank.
+
+    Sizes and counts follow the size rule of :mod:`sltr.tensor`; ``seed`` is any integer.
+    """
 
     dims: tuple
     n: int
@@ -46,23 +48,17 @@ class SimSpec:
     low_rank: int | None = None
 
     def __post_init__(self):
-        dims = tuple(self.dims)
-        if not dims or not all(isinstance(p, numbers.Integral) and p > 0 for p in dims):
-            raise ValueError(f"dims must be one or more positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(p) for p in dims))
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "dims", _dims(self.dims))
+        _integer("n", self.n, 1)
+        _integer("seed", self.seed, None)
         if not 0.0 <= self.sparsity_pct <= 100.0:
             raise ValueError(f"sparsity_pct must lie in [0, 100], got {self.sparsity_pct}")
         if not self.noise_alpha >= 0:
             raise ValueError(f"noise_alpha must be >= 0, got {self.noise_alpha}")
         if math.isinf(self.noise_alpha):
             raise ValueError(f"noise_alpha must be finite, got {self.noise_alpha}")
-        if self.low_rank is not None and (
-                not isinstance(self.low_rank, numbers.Integral) or self.low_rank < 1):
-            raise ValueError(f"low_rank must be an integer >= 1, got {self.low_rank!r}")
+        if self.low_rank is not None:
+            _integer("low_rank", self.low_rank, 1)
 
 
 def generate(spec: SimSpec):

@@ -96,7 +96,6 @@ and the modes are averaged in a fixed order.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -106,7 +105,7 @@ from .data import Dataset
 from .exceptions import DivergenceError, NumericalError
 from .linalg import backbone, nuclear_norm, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
-from .tensor import Tensor, dot_rows, fold, unfold
+from .tensor import Tensor, _dims, _integer, _unfolding_shape, dot_rows, fold, unfold
 from .tensor import inner  # noqa: F401  perfbench/spans.py traces sltr.solver.inner
 
 __all__ = [
@@ -136,7 +135,8 @@ class SolverConfig:
     ``max_iter`` sweeps.  The prox step and the relaxation factor are not
     settings: each mode takes its step from its centre and the radii (see
     the module notes).  The thread count is not part of the configuration:
-    it changes no result, and is given to :func:`fit` instead.
+    it changes no result, and is given to :func:`fit` instead.  ``max_iter``
+    follows the size rule of :mod:`sltr.tensor`.
     """
 
     lam: float
@@ -146,16 +146,11 @@ class SolverConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        for name, value in zip(("lambda", "tau", "epsilon", "tol"),
+                               (self.lam, self.tau, self.epsilon, self.tol)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        _integer("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -251,13 +246,10 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     unit-scale answer scaled, and no norm overflows or underflows.  A
     certificate field too large for a double on the way back is ``inf``.
     """
-    dims = tuple(int(p) for p in dims)
-    if not 1 <= m <= len(dims):
-        raise ValueError(f"mode {m} out of range for dims {dims}")
+    shape = _unfolding_shape(_dims(dims), m)
     center = np.asarray(center, dtype=np.float64)
-    expected = (dims[m - 1], math.prod(dims) // dims[m - 1])
-    if center.shape != expected:
-        raise ValueError(f"center must be the {expected} mode-{m} unfolding, got {center.shape}")
+    if center.shape != shape:
+        raise ValueError(f"center must be the {shape} mode-{m} unfolding, got {center.shape}")
     if not np.isfinite(center).all():
         raise NumericalError("center has a non-finite entry")
     # Norms square the entries, and the solve is exact under powers of two:
@@ -350,8 +342,9 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
     time, one thread each (default :func:`default_thread_count`, one); more
     pay only where two modes are each large (see the module notes).  Output,
     traces included, is identical for identical ``(ds, cfg)`` at every
-    thread count.
+    thread count.  ``threads`` follows the size rule of :mod:`sltr.tensor`.
     """
+    workers = default_thread_count() if threads is None else _integer("threads", threads, 1)
     bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims)
     dims = ds.dims
     order = len(dims)
@@ -363,7 +356,6 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult
         except DivergenceError as exc:
             raise DivergenceError(f"mode {m}: {exc}", exc.trace) from exc
 
-    workers = default_thread_count() if threads is None else max(1, int(threads))
     if order > 1 and workers > 1:
         with ThreadPoolExecutor(max_workers=min(order, workers)) as ex:
             results = list(ex.map(task, range(1, order + 1)))

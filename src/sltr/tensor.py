@@ -10,11 +10,16 @@ Conventions used throughout the package:
   reshape.
 * A *matrix* is a 2-D float64 ``numpy.ndarray``.
 * Mode indices are 1-based: ``m`` ranges over ``1..M``.
+* The size rule: mode sizes, counts and mode indices are Python or numpy
+  integers, never ``bool``, in bounds (``M >= 1`` sizes ``>= 1``, modes
+  ``1..M``); anything else, ``2.5`` or ``True``, raises :class:`ValueError`.
+  Every entry point checks them with ``_integer``, ``_dims`` or ``_unfolding_shape``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -39,7 +44,7 @@ class Tensor:
     Parameters
     ----------
     dims : sequence of int
-        Strictly positive mode sizes ``(p_1, ..., p_M)``, M >= 1.
+        Mode sizes ``(p_1, ..., p_M)``, M >= 1, by the module's size rule.
     data : array_like, 1-D
         ``prod(dims)`` reals in the canonical (mode-1-fastest) layout.  An
         M-dimensional array goes through :meth:`from_array` instead.
@@ -62,11 +67,7 @@ class Tensor:
         return t
 
     def _adopt(self, dims, data, copy):
-        dims = tuple(int(p) for p in dims)
-        if len(dims) < 1:
-            raise ValueError("tensor order must be at least 1")
-        if any(p <= 0 for p in dims):
-            raise ValueError(f"dims must be strictly positive, got {dims}")
+        dims = _dims(dims)
         arr = np.array(data, dtype=np.float64, copy=copy)
         if arr.ndim != 1:
             raise ValueError(f"data must be 1-D, got {arr.ndim}-D; use Tensor.from_array")
@@ -95,13 +96,11 @@ class Tensor:
     def from_array(cls, arr) -> "Tensor":
         """Build a tensor from an M-dimensional array (any memory order), copying it once."""
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim < 1:
-            arr = arr.reshape(1)
         return cls._own(arr.shape, arr.flatten(order="F"))
 
     @classmethod
     def zeros(cls, dims) -> "Tensor":
-        return cls._own(dims, np.zeros(math.prod(tuple(dims))))
+        return cls._own(dims, np.zeros(math.prod(_dims(dims))))
 
     def to_array(self) -> np.ndarray:
         """View as an M-dimensional numpy array (read-only)."""
@@ -111,9 +110,29 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-def _check_mode(m: int, order: int) -> None:
-    if not 1 <= m <= order:
-        raise ValueError(f"mode {m} out of range for order-{order} tensor")
+def _integer(name, value, low):
+    """``value`` as an int if it is an integer, not a bool, >= ``low`` (None: no bound)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+            low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _dims(dims) -> tuple:
+    """Mode sizes as a tuple of one or more ``int``, each at least 1."""
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("dims must hold one or more mode sizes, got ()")
+    return tuple(_integer(f"dims[{i}]", p, 1) for i, p in enumerate(dims))
+
+
+def _unfolding_shape(dims, m) -> tuple:
+    """Shape ``(p_m, P // p_m)`` of the mode-m unfolding, ``m`` in ``1..M``, of checked ``dims``."""
+    m = _integer("mode", m, 1)
+    if m > len(dims):
+        raise ValueError(f"mode {m} out of range for order-{len(dims)} tensor")
+    return dims[m - 1], math.prod(dims) // dims[m - 1]
 
 
 def unfold(t: Tensor, m: int) -> np.ndarray:
@@ -123,9 +142,8 @@ def unfold(t: Tensor, m: int) -> np.ndarray:
     mode-m fibers.  Element ``(i_1, ..., i_M)`` lands in row ``i_m`` and
     column ``j = sum_{k != m} i_k * J_k`` with ``J_k = prod_{l<k, l != m} p_l``.
     """
-    _check_mode(m, t.order)
-    arr = t.to_array()
-    return np.moveaxis(arr, m - 1, 0).reshape(t.dims[m - 1], -1, order="F")
+    shape = _unfolding_shape(t.dims, m)
+    return np.moveaxis(t.to_array(), m - 1, 0).reshape(shape, order="F")
 
 
 def fold(a: np.ndarray, m: int, dims) -> Tensor:
@@ -133,14 +151,12 @@ def fold(a: np.ndarray, m: int, dims) -> Tensor:
 
     The result holds the one copy of ``a`` that reorders it into the canonical layout.
     """
-    dims = tuple(int(p) for p in dims)
-    _check_mode(m, len(dims))
+    dims = _dims(dims)
+    shape = _unfolding_shape(dims, m)
     a = np.asarray(a, dtype=np.float64)
-    rest = dims[: m - 1] + dims[m:]
-    expected = (dims[m - 1], math.prod(rest))
-    if a.ndim != 2 or a.shape != expected:
-        raise ValueError(f"expected a {expected} matrix for mode {m} of {dims}, got {a.shape}")
-    arr = np.moveaxis(a.reshape((dims[m - 1],) + rest, order="F"), 0, m - 1)
+    if a.shape != shape:
+        raise ValueError(f"expected a {shape} matrix for mode {m} of {dims}, got {a.shape}")
+    arr = np.moveaxis(a.reshape(shape[:1] + dims[: m - 1] + dims[m:], order="F"), 0, m - 1)
     return Tensor.from_array(arr)
 
 

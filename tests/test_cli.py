@@ -129,6 +129,26 @@ def test_nan_parameter_is_bad_input(data, tmp_path, capsys):
     assert not (tmp_path / "w.tn").exists()
 
 
+def test_zero_threads_is_bad_input(data, tmp_path, capsys):
+    assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1", "--threads", "0",
+                 "--out", str(tmp_path / "w.tn")]) == 1
+    assert capsys.readouterr().err == "error: threads must be an integer >= 1, got 0\n"
+    assert not (tmp_path / "w.tn").exists()
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError at once for an allocation it cannot make, such as
+    # the 146 TiB design matrix of --dims 10000000x2000000; nothing is allocated here.
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 146. TiB for an array")
+
+    monkeypatch.setattr("sltr.cli.generate", no_memory)
+    assert main(["simulate", "--dims", "10000000x2000000", "--n", "1",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 146. TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_prints_residuals_and_one_certificate_per_mode(data, tmp_path, capsys):
     out = run(capsys, "fit", "--data", data, "--lambda", 0.5, "--tau", 1,
               "--out", tmp_path / "w.tn")

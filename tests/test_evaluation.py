@@ -149,6 +149,8 @@ class TestBounds:
         dict(mode_ranks=(2, 3, -1)),
         dict(lam=math.nan),
         dict(tau=math.nan),
+        dict(dims=(4.5, 3, 2)),  # not truncated to (4, 3, 2)
+        dict(mode_ranks=(2.9, 1.5, 1.2)),  # not truncated to the possible (2, 1, 1)
     ])
     def test_bound_inputs_validation(self, kw):
         # Each bound that takes the bad input rejects it; radii go to both.

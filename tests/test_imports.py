@@ -7,7 +7,9 @@ name) or lists it in ``__all__``.  An import whose statement carries
 ``# noqa: F401`` is kept on purpose, e.g. a name other code looks up in the
 module.  Every name in a module's ``__all__`` must be defined at its top
 level, and the package's ``__all__`` must be exactly the names its
-``__init__`` imports, so a deleted name cannot linger as an export.
+``__init__`` imports, so a deleted name cannot linger as an export.  Only
+``tensor.py`` imports :mod:`numbers`: the size rule lives there alone, and
+every other module checks sizes through it.
 """
 
 import ast
@@ -113,3 +115,27 @@ def test_export_checker_finds_stale_names():
         "class f: pass\n"
     )
     assert stale_exports(source) == ["b", "gone"]
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports, relative imports left out."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "tensor.py"),
+                         ids=lambda p: p.name)
+def test_only_tensor_holds_the_size_rule(path):
+    assert "numbers" not in imported_modules(path.read_text())
+
+
+def test_import_checker_finds_every_form():
+    for line in ("import numbers", "import numbers as nb", "from numbers import Integral",
+                 "import os, numbers", "def f():\n    import numbers.abc"):
+        assert "numbers" in imported_modules(line), line
+    assert "numbers" not in imported_modules("from .numbers import x\nimport numberslike")

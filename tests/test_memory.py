@@ -102,9 +102,9 @@ def test_fold(tensor):
 
 
 def test_samples_copy_nothing():
-    # Rows of 9,000 entries, as in the benchmark's data workload: what is
-    # left is a few hundred bytes of objects per sample.
+    # Rows of 9,000 entries, as in the benchmark's data workload: each sample
+    # is a tensor over a view of its row, a few hundred bytes of objects.
     ds = generate(SimSpec((30, 30, 10), n=100, seed=0))[0]
-    samples, peak = traced_peak(lambda: list(ds.samples()))
+    samples, peak = traced_peak(lambda: [ds.sample(i) for i in range(ds.n)])
     assert len(samples) == ds.n
     assert peak <= 0.01 * ds.x.nbytes

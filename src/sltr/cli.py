@@ -72,8 +72,8 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
                    help="stop a mode once a sweep's residual, relative to the state, "
                         "is at most this (default: %(default)s)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="mode threads, one subproblem each (default: 1); more pay only "
+    p.add_argument("--threads", type=int, default=1,
+                   help="mode threads, one subproblem each (default: %(default)s); more pay only "
                         "where two modes are each large; "
                         "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
 

@@ -92,7 +92,7 @@ def fold_indices(n: int, k: int, fold_seed: int):
 
 
 def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_seed: int = 0,
-             threads: int | None = None) -> CvReport:
+             threads: int = 1) -> CvReport:
     """Grid search by k-fold cross-validation on mean validation MSE.
 
     Each grid cell is a ``(lambda, tau, epsilon)`` triple; the remaining
@@ -104,8 +104,8 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
     fitted; if every cell fails, the ``DivergenceError`` is raised with all
     their reasons.  The loop is fold-major: each fold's (train, validation)
     pair is built, used by every cell and freed before the next one, so a
-    call holds one split beside ``ds``.  ``k`` and ``threads`` follow the
-    size rule of :mod:`sltr.tensor`.
+    call holds one split beside ``ds``.  ``threads`` (default 1) goes to
+    :func:`~sltr.solver.fit`; it and ``k`` follow the size rule of :mod:`sltr.tensor`.
     """
     cells = [(float(l), float(t), float(e)) for l, t, e in grid]
     if not cells:
@@ -144,7 +144,7 @@ def theorem_bound(lam: float, tau: float, dims, orth_rank: int) -> float:
 
     ``R = orth_rank`` bounds the orthogonal rank of the true coefficient.
     """
-    (dims,) = _bound_sizes(lam, tau, dims)
+    dims, (orth_rank,) = _bound_sizes(lam, tau, dims, (orth_rank,))
     if not orth_rank >= 1:
         raise ValueError(f"orth_rank must be >= 1, got {orth_rank}")
     return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(math.prod(dims)) + tau * math.sqrt(orth_rank))
@@ -171,13 +171,14 @@ def three_mode_bound(lam: float, tau: float, dims, mode_ranks) -> float:
 
 
 def _bound_sizes(lam, tau, *sizes) -> list:
-    """Check that both radii are >= 0; return each of ``sizes`` as ints (2.0 is 2, 2.5 raises)."""
+    """Check that both radii are >= 0; return ``sizes`` as ints (2.0 is 2; 2.5, inf, True raise)."""
     if not (lam >= 0 and tau >= 0):
         raise ValueError("lambda and tau must be non-negative")
     sizes = [tuple(s) for s in sizes]
-    ints = [tuple(int(v) for v in s) for s in sizes]
-    if ints != sizes:
-        raise ValueError(f"dims and ranks must be whole numbers, got {sizes}")
+    whole = all(float(v).is_integer() and type(v) not in (bool, np.bool_) for s in sizes for v in s)
+    ints = [tuple(int(v) for v in s) for s in sizes] if whole else None
+    if ints != sizes:  # also rejects a string such as "2"
+        raise ValueError(f"dims and ranks must be whole numbers, not bools, got {sizes}")
     return ints
 
 

@@ -73,14 +73,16 @@ def svd(a: np.ndarray, above: float) -> SvdFactors:
     eigensolve and one product with the kept vectors instead of a full SVD.
     The Gram matrix squares the spectrum: when some kept eigenvalue is at
     most ``1e-8`` times the largest (a kept singular value at most
-    ``1e-4 * ||a||_2``), the kernel truncates the LAPACK SVD instead.  Either
-    way the soft-thresholded spectrum ``max(s - t, 0)`` and the matrices
-    built from it agree with the full SVD's to about ``2e-12 * ||a||_2``.
+    ``1e-4 * ||a||_2``), or when a nonzero largest ``|a_ij|`` is outside
+    ``[2**-400, 2**400]``, where its square underflows or overflows, the
+    kernel truncates the LAPACK SVD instead.  Either way the soft-thresholded
+    spectrum ``max(s - t, 0)`` and the matrices built from it agree with the
+    full SVD's to about ``2e-12 * ||a||_2``.
     """
-    a = _finite_matrix(a)
+    a, scale = _finite_matrix(a)
     if not above >= 0:
         raise ValueError(f"threshold must be non-negative, got {above}")
-    f = _gram_svd(a, above)
+    f = _gram_svd(a, above) if scale == 0 or 2.0**-400 <= scale <= 2.0**400 else None
     if f is None:
         u, s, vh = _lapack_svd(a, compute_uv=True)
         k = int(np.count_nonzero(s > above))
@@ -90,7 +92,7 @@ def svd(a: np.ndarray, above: float) -> SvdFactors:
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values only (non-increasing), skipping the factor computation."""
-    return _lapack_svd(_finite_matrix(a), compute_uv=False)
+    return _lapack_svd(_finite_matrix(a)[0], compute_uv=False)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -136,20 +138,24 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
     if not all(np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0)) for a in (x, y)):
         raise NumericalError("backbone requires finite design and responses")
     primal = p <= n
-    gram = x.T @ x if primal else x @ x.T
-    gram.flat[:: len(gram) + 1] += epsilon  # the ridge, added in place
-    try:
-        w = np.linalg.solve(gram, x.T @ y) if primal else x.T @ np.linalg.solve(gram, y)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # finite x can overflow; w is checked
+        gram = x.T @ x if primal else x @ x.T
+        gram.flat[:: len(gram) + 1] += epsilon  # the ridge, added in place
+        try:
+            w = np.linalg.solve(gram, x.T @ y) if primal else x.T @ np.linalg.solve(gram, y)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
+    if not (np.isfinite(w.max()) and np.isfinite(w.min())):
+        raise NumericalError("ridge system overflowed: its solution has a non-finite entry")
     return Backbone(tensor=Tensor._own(dims, w))
 
 
-def _finite_matrix(a) -> np.ndarray:
+def _finite_matrix(a):
     a = _as_matrix(a)
-    if not np.isfinite(a).all():
+    scale = float(np.abs(a).max(initial=0.0))  # the largest |a_ij|; a NaN carries through
+    if not math.isfinite(scale):
         raise NumericalError("SVD requires finite entries")
-    return a
+    return a, scale
 
 
 def _gram_svd(a: np.ndarray, above: float) -> SvdFactors | None:

@@ -71,30 +71,34 @@ The mode subproblems are independent, so they may run on mode threads.
 These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
 the default is one, because a sweep of a small mode is mostly short numpy
 calls that hold the interpreter lock: two mode threads take turns and cost
-more CPU for little or no wall time.  They pay only where two modes are
-each large and a second core is free: below, only 60x60x20 gains (its modes
-take 0.32/0.25/0.09 s alone), and not in every set.  Wall time on a shared
-2-core host, BLAS at one thread, seed 0, lambda = tau = epsilon = 1, the
-medians of three sets of 5 alternating fits:
+more CPU for little or no wall time.  They pay where two modes are each
+large and a second core is free, as at 60x60x20, where two threads won 12
+of 12 alternating fits.  Wall time on a shared 2-core host, BLAS at one
+thread, seed 0, lambda = tau = epsilon = 1, medians of those 12 or of three
+sets of 5 alternating fits:
 
     =================  ==================  ==================
     shape, samples     one thread          two threads
     =================  ==================  ==================
     30x30x10, n=720    0.21 / 0.24 / 0.21  0.22 / 0.25 / 0.22
     40x40x10, n=300    0.17 / 0.18 / 0.18  0.18 / 0.17 / 0.18
-    60x60x20, n=300    0.88 / 0.85 / 0.86  0.66 / 0.90 / 0.89
+    60x60x20, n=300    1.06                0.67
     100x100x20, n=100  1.40 / 1.54 / 1.34  1.33 / 1.41 / 1.23
     =================  ==================  ==================
 
-With mode threads, pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``):
-each mode thread's BLAS calls otherwise start one BLAS thread per core, and
-the cores are oversubscribed.  Results are bit-identical at every thread
-count, because each subproblem runs the same operations in the same order
-and the modes are averaged in a fixed order.
+One thread runs the solves in a plain loop, not on a pool, because a fit run
+on a worker thread costs CPU at CV sizes (a nine-cell 5-fold CV at 10x10x5:
+0.75 s median, 0.97 s on a one-worker pool).  With mode threads, pin BLAS to
+one thread (``OPENBLAS_NUM_THREADS=1``): each mode thread's BLAS calls
+otherwise start one BLAS thread per core, and the cores are oversubscribed.
+Results are bit-identical at every thread count, because each subproblem
+runs the same operations in the same order and the modes are averaged in a
+fixed order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -221,7 +225,7 @@ class FitResult:
 
 
 def default_thread_count() -> int:
-    """Mode threads of a fit when none are given: 1; they are opt-in (see the module notes)."""
+    """1, the default of :func:`fit`'s ``threads``: kept for the benchmark, which reports it."""
     return 1
 
 
@@ -234,17 +238,17 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     the relative residual ``||y+ - y|| / ||y||`` of each sweep, over all
     three copies, and the exit :class:`Certificate`.  Raises
     :class:`NumericalError` for a non-finite centre.  Returns exact zeros
-    after no sweep when ``||center||_inf <= lam`` and
-    ``||center||_spec <= tau``.  Otherwise
-    terminates after the first sweep whose residual is at most ``cfg.tol``,
-    or at ``cfg.max_iter``; raises :class:`DivergenceError` if the residual
-    is not finite or grows a millionfold over that of the first sweep.  The
-    error's trace holds the residuals of every sweep before that, and of the
-    sweep itself when it grew.  Every centre is solved scaled by the power
-    of two that brings its largest entry into [1, 2), radii with it, and
-    ``w`` and the certificate are scaled back: the answer is exactly the
-    unit-scale answer scaled, and no norm overflows or underflows.  A
-    certificate field too large for a double on the way back is ``inf``.
+    after no sweep when ``||center||_inf <= lam`` and ``||center||_spec <= tau``.
+    Otherwise terminates after the first sweep whose residual is at most
+    ``cfg.tol``, or at ``cfg.max_iter``; raises :class:`DivergenceError`, its
+    message starting ``mode m:``, if the residual is not finite or grows a
+    millionfold over that of the first sweep.  The error's trace holds the
+    residuals of every sweep before that, and of the sweep itself when it
+    grew.  Every centre is solved scaled by the power of two that brings its
+    largest entry into [1, 2), radii with it, and ``w`` and the certificate
+    are scaled back: the answer is exactly the unit-scale answer scaled, and
+    no norm overflows or underflows.  A certificate field too large for a
+    double on the way back is ``inf``.
     """
     shape = _unfolding_shape(_dims(dims), m)
     center = np.asarray(center, dtype=np.float64)
@@ -278,12 +282,11 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
         d = (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p  # y moves by rho * d
         rel = _RHO * float(np.linalg.norm(d)) / float(np.linalg.norm(y))
         if not math.isfinite(rel):
-            raise DivergenceError(f"non-finite residual at iteration {t}", residuals)
+            raise DivergenceError(f"mode {m}: non-finite residual at iteration {t}", residuals)
         residuals.append(rel)
         if rel > _DIVERGENCE_FACTOR * residuals[0]:
-            raise DivergenceError(
-                f"residual grew {rel / residuals[0]:.1e}-fold by iteration {t}", residuals
-            )
+            raise DivergenceError(f"mode {m}: residual grew {rel / residuals[0]:.1e}-fold by "
+                                  f"iteration {t}", residuals)
         if rel <= cfg.tol or t == cfg.max_iter:
             break
         y += _RHO * d
@@ -334,44 +337,33 @@ def _l1_box_conjugate(z, ctr):
     return float(np.sum(np.max([z * u - np.abs(u) for u in (a, b, np.clip(0.0, a, b))], axis=0)))
 
 
-def fit(ds: Dataset, cfg: SolverConfig, threads: int | None = None) -> FitResult:
+def fit(ds: Dataset, cfg: SolverConfig, threads: int = 1) -> FitResult:
     """Fit the estimator on a dataset.
 
     Computes the backbone once, solves the M mode subproblems, and averages
     the folded per-mode solutions.  ``threads`` mode subproblems run at a
-    time, one thread each (default :func:`default_thread_count`, one); more
-    pay only where two modes are each large (see the module notes).  Output,
-    traces included, is identical for identical ``(ds, cfg)`` at every
-    thread count.  ``threads`` follows the size rule of :mod:`sltr.tensor`.
+    time, one thread each (default one); more pay only where two modes are
+    each large (see the module notes).  Output, traces included, is
+    identical for identical ``(ds, cfg)`` at every thread count.
+    ``threads`` follows the size rule of :mod:`sltr.tensor`.
     """
-    workers = default_thread_count() if threads is None else _integer("threads", threads, 1)
+    workers = _integer("threads", threads, 1)
     bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims)
-    dims = ds.dims
-    order = len(dims)
-    centers = [unfold(bb.tensor, m) for m in range(1, order + 1)]
+    order = len(ds.dims)
 
-    def task(m):
-        try:
-            return solve_subproblem(m, centers[m - 1], dims, cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(f"mode {m}: {exc}", exc.trace) from exc
+    def solve(m):
+        w, trace = solve_subproblem(m, unfold(bb.tensor, m), ds.dims, cfg)
+        return fold(w, m, ds.dims), trace
 
     if order > 1 and workers > 1:
         with ThreadPoolExecutor(max_workers=min(order, workers)) as ex:
-            results = list(ex.map(task, range(1, order + 1)))
+            results = list(ex.map(solve, range(1, order + 1)))
     else:
-        results = [task(m) for m in range(1, order + 1)]
-
-    per_mode = tuple(fold(w, m, dims) for m, (w, _) in enumerate(results, start=1))
-    acc = per_mode[0].data.copy()
-    for t in per_mode[1:]:
-        acc += t.data
-    acc /= order
-    return FitResult(
-        w_hat=Tensor._own(dims, acc),
-        per_mode=per_mode,
-        trace=tuple(trace for _, trace in results),
-    )
+        results = [solve(m) for m in range(1, order + 1)]
+    per_mode, trace = zip(*results)
+    # Summed left to right, ((p1 + p2) + p3) / 3; sum()'s 0 + p1 would turn -0.0 into 0.0.
+    w_hat = functools.reduce(np.add, (t.data for t in per_mode)) / order
+    return FitResult(w_hat=Tensor._own(ds.dims, w_hat), per_mode=per_mode, trace=trace)
 
 
 def predict(w: Tensor, x) -> np.ndarray:

@@ -4,10 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sltr import evaluation
 from sltr import io as sio
 from sltr.cli import _build_parser, main
 from sltr.data import Dataset
 from sltr.evaluation import auc, kfold_cv
+from sltr.exceptions import DivergenceError
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig, fit
 from sltr.tensor import Tensor
@@ -193,6 +195,38 @@ def test_cv_selects_the_api_cell(data, tmp_path, capsys):
     assert [float(r[3]) for r in rows] == list(report.per_cell)
     assert [r[4] for r in rows].count("1") == 1
     assert [tuple(float(v) for v in r[:3]) for r in rows if r[4] == "1"] == [report.selected]
+
+
+def test_cv_warns_of_a_failed_cell(data, tmp_path, capsys, monkeypatch):
+    real_fit = evaluation.fit
+
+    def fit(train, cfg, threads):
+        if cfg.lam == 0.1:
+            raise DivergenceError("mode 2: non-finite residual at iteration 1")
+        return real_fit(train, cfg, threads=threads)
+
+    monkeypatch.setattr(evaluation, "fit", fit)
+    grid_file = tmp_path / "grid.tsv"
+    grid_file.write_text("lambda\ttau\tepsilon\n1.0\t1.0\t1.0\n0.1\t0.1\t1.0\n")
+    assert main(["cv", "--data", str(data), "--grid-file", str(grid_file), "--folds", "3",
+                 "--max-iter", "30"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: cell (0.1, 0.1, 1.0) failed: "
+                   "mode 2: non-finite residual at iteration 1\n")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert rows[1] == ["0.1", "0.1", "1.0", "nan", "0"]
+    assert rows[0][3] != "nan" and rows[0][4] == "1"
+
+
+def test_fit_reports_an_overflowing_ridge_system(tmp_path, capsys):
+    data = tmp_path / "huge.ds"
+    r = np.random.default_rng(7)
+    sio.write_dataset(data, Dataset((3, 4), 1e160 * r.normal(size=(4, 12)), r.normal(size=4)))
+    assert main(["fit", "--data", str(data), "--lambda", "1", "--tau", "1",
+                 "--out", str(tmp_path / "w.tn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ridge system overflowed") and err.count("\n") == 1
+    assert not (tmp_path / "w.tn").exists()
 
 
 def test_cv_rejects_a_two_column_grid_row(data, tmp_path, capsys):

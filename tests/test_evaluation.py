@@ -151,6 +151,13 @@ class TestBounds:
         dict(tau=math.nan),
         dict(dims=(4.5, 3, 2)),  # not truncated to (4, 3, 2)
         dict(mode_ranks=(2.9, 1.5, 1.2)),  # not truncated to the possible (2, 1, 1)
+        dict(dims=(2, 3, True)),  # not the dims (2, 3, 1)
+        dict(orth_rank=True),
+        dict(orth_rank=2.5),  # not an orthogonal rank of 2
+        dict(orth_rank=math.inf),
+        dict(mode_ranks=(1, 1, True)),
+        dict(dims=(2, 2, True), mode_ranks=(1, 1, True)),
+        dict(dims=(2, 3, np.True_)),
     ])
     def test_bound_inputs_validation(self, kw):
         # Each bound that takes the bad input rejects it; radii go to both.

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sltr.exceptions import NumericalError
-from sltr.linalg import backbone, nuclear_norm, spectral_norm, svd, tensor_nuclear_norm
+from sltr.linalg import (
+    backbone,
+    nuclear_norm,
+    singular_values,
+    spectral_norm,
+    svd,
+    tensor_nuclear_norm,
+)
 from sltr.tensor import Tensor, unfold
 
 
@@ -89,10 +97,16 @@ ORACLE_MATRICES = {
     "cluster": _with_spectrum(_spectrum_at(0.5, [k * 1e-13 for k in range(-3, 4)] + [0.0] * 3),
                               40, 16, 24),
 }
+# Scaled by 2**k, the Gram product underflows (k = -600, -700) or overflows (600, 700);
+# so does a a' of a matrix with one huge entry among small ones.
+ORACLE_MATRICES.update({f"wide_2^{k}": np.ldexp(ORACLE_MATRICES["wide"], k)
+                        for k in (-700, -600, -300, 300, 600, 700)})
+ORACLE_MATRICES["huge_entry"] = np.array([[1e200, 0.0, 0.0], [1.0, 2.0, 3.0]])
 # Where the two constructed spectra put a singular value on or around the threshold.
 SPECIAL_THRESHOLDS = {
     "near_threshold": [0.5, 0.5 * (1 + 1e-12), 0.5 * (1 + 2e-12)],
     "cluster": [0.5 * (1 + k * 1e-13) for k in range(-4, 5)],
+    "huge_entry": [1.0],
 }
 
 
@@ -124,8 +138,8 @@ class TestThresholdedSvd:
             clipped = (ref.U * np.minimum(ref.S, t)) @ ref.Vh
             assert np.max(np.abs((a - shrunk) - clipped)) <= GRAM_TOL * norm
             if t >= 1e-4 * norm:
-                # Every kept eigenvalue is above 1e-8 * lam_max, so the Gram path ran; its
-                # values, recomputed from the projections, keep their relative accuracy.
+                # Every kept eigenvalue is above 1e-8 * lam_max, so the Gram path ran, unless
+                # the scale sent it to LAPACK; recomputed values keep their relative accuracy.
                 np.testing.assert_allclose(f.s, ref.S[:k], rtol=1e-11)
 
     def test_nothing_above_threshold_is_empty(self):
@@ -144,6 +158,21 @@ class TestThresholdedSvd:
         t = ref.S[2]
         f = svd(a, above=t)
         np.testing.assert_array_equal(f.s, ref.S[ref.S > t])
+
+    def test_lapack_failure_falls_back_to_gesvd(self, monkeypatch):
+        a = ORACLE_MATRICES["cond1e16"]  # its small values keep the kernel off the Gram path
+        u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        f = svd(a, above=0.0)
+        np.testing.assert_array_equal(f.s, s[s > 0])
+        np.testing.assert_array_equal(f.v, vh[: f.s.size].T)
+        np.testing.assert_array_equal(
+            singular_values(a),
+            scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd"))
 
     @pytest.mark.parametrize("above", [-1.0, np.nan])
     def test_invalid_threshold(self, above):
@@ -310,6 +339,13 @@ class TestBackbone:
             backbone(x, np.zeros(3), 1.0, (5,))
         with pytest.raises(NumericalError):
             backbone(np.full((3, 4), np.inf), np.zeros(3), 1.0, (2, 2))
+
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_overflowing_ridge_system_raises(self, n):
+        # Finite entries whose Gram product overflows, in the dual (n = 4) and primal system.
+        r = np.random.default_rng(7)
+        with pytest.raises(NumericalError, match="ridge system overflowed"):
+            backbone(1e160 * r.normal(size=(n, 12)), r.normal(size=n), 1.0, (3, 4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["x", "y"])

@@ -147,6 +147,22 @@ class TestProjectSpectral:
         assert project_spectral_ball(ctr.c, ctr) is ctr.c
 
 
+@pytest.mark.parametrize("k", [-700, -600, -300, 300, 600, 700])
+def test_spectral_operators_scale_with_their_operands(k):
+    # The two spectral operators commute with scaling by 2**k, far from unit
+    # scale too, where a Gram product a a' would underflow or overflow.
+    v = _mat(17, (5, 8))
+    ctr = _center(17, (5, 8), tau=3.5)
+    scaled = ConstraintCenter(np.ldexp(ctr.c, k), math.ldexp(ctr.lam, k), math.ldexp(ctr.tau, k))
+    atol = 1e-12 * spectral_norm(v)
+    shrunk = prox_nuclear(np.ldexp(v, k), math.ldexp(1.5, k))
+    np.testing.assert_allclose(np.ldexp(shrunk, -k), prox_nuclear(v, 1.5), rtol=0, atol=atol)
+    clipped = project_spectral_ball(np.ldexp(v, k), scaled)
+    np.testing.assert_allclose(np.ldexp(clipped, -k), project_spectral_ball(v, ctr),
+                               rtol=0, atol=atol)
+    assert spectral_norm(np.ldexp(clipped - scaled.c, -k)) <= ctr.tau * (1 + 1e-10)
+
+
 class TestMergedL1Term:
     """The solver's first operator, soft thresholding then the l-inf clamp, is one prox.
 

@@ -557,6 +557,23 @@ class TestFit:
         assert seq.trace == par.trace
         assert repr(seq.trace) == repr(par.trace)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_divergence_names_its_mode(self, threads, monkeypatch):
+        # Mode 2 of 6 x 5 x 4 is the only 5 x 24 unfolding: an inf in its clamp
+        # makes the first sweep's residual non-finite.
+        def clamp_failing_on_mode_2(v, ctr):
+            out = project_linf_ball(v, ctr)
+            if out.shape == (5, 24):
+                out[0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(solver, "project_linf_ball", clamp_failing_on_mode_2)
+        with pytest.raises(DivergenceError) as err:
+            fit(self._dataset(), base_cfg(), threads=threads)
+        assert str(err.value) == "mode 2: non-finite residual at iteration 1"
+        assert err.value.trace == []
+
     def test_averaging_identity(self):
         ds = self._dataset(seed=4)
         result = fit(ds, base_cfg(lam=0.3, tau=0.9))

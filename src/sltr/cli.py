@@ -3,9 +3,10 @@
 Subcommands: ``simulate``, ``fit``, ``predict``, ``cv``, ``eval``.
 All report tables are tab-separated with a header row; ``fit`` prints two,
 the residual of every sweep and then one certificate row per mode, with an
-empty line between them.  Binary artifacts use the formats in
-:mod:`sltr.io`.  Exit code 0 on success, nonzero with a one-line diagnostic
-on error.
+empty line between them.  The second table's ``seconds`` column holds wall
+times, and its first row, ``backbone``, has the backbone's time alone.
+Binary artifacts use the formats in :mod:`sltr.io`.  Exit code 0 on success,
+nonzero with a one-line diagnostic on error.
 """
 
 from __future__ import annotations
@@ -141,16 +142,17 @@ def _cmd_fit(args) -> int:
     cfg = _solver_config(args, args.lam, args.tau, args.epsilon)
     result = fit(ds, cfg, threads=args.threads)
     sio.write_tensor(args.out, result.w_hat)
-    sweeps, certificates = [], []
+    sweeps = []
+    certificates = [("backbone", "", "", "", "", "", "", result.seconds[0])]
     for m, trace in enumerate(result.trace, start=1):
         sweeps.extend((m, it, rel) for it, rel in enumerate(trace.residuals, start=1))
         c = trace.certificate
         certificates.append((m, len(trace), c.objective, c.linf_violation,
-                             c.spectral_violation, c.gap, c.exit))
+                             c.spectral_violation, c.gap, c.exit, result.seconds[m]))
     _print_table(("mode", "iteration", "residual"), sweeps)
     print()
     _print_table(("mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap",
-                  "exit"), certificates)
+                  "exit", "seconds"), certificates)
     return 0
 
 

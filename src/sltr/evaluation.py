@@ -44,11 +44,13 @@ class CvReport:
 
 
 def mse(y, yhat) -> float:
-    """Mean squared residual."""
+    """Mean squared residual; empty input raises :class:`ValueError`, having no mean."""
     y = np.asarray(y, dtype=np.float64).ravel()
     yhat = np.asarray(yhat, dtype=np.float64).ravel()
     if y.size != yhat.size:
         raise ValueError(f"length mismatch: {y.size} vs {yhat.size}")
+    if not y.size:
+        raise ValueError("mse of no values")
     return float(np.mean((y - yhat) ** 2))
 
 

@@ -100,8 +100,9 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,12 +204,16 @@ class ModeTrace:
 class FitResult:
     """Estimate plus per-mode solutions, traces and certificates.
 
-    ``trace[m-1]`` is the mode-m :class:`ModeTrace`.
+    ``trace[m-1]`` is the mode-m :class:`ModeTrace`.  ``seconds`` holds wall
+    times: ``seconds[0]`` for the backbone and ``seconds[m]`` for mode m's
+    solve, unfolding and folding included.  They differ from run to run, so
+    they take no part in ``==`` or ``repr``.
     """
 
     w_hat: Tensor
     per_mode: tuple[Tensor, ...]
     trace: tuple[ModeTrace, ...]
+    seconds: tuple[float, ...] = field(compare=False, repr=False)
 
     @property
     def certificates(self) -> tuple[Certificate, ...]:
@@ -341,29 +346,36 @@ def fit(ds: Dataset, cfg: SolverConfig, threads: int = 1) -> FitResult:
     """Fit the estimator on a dataset.
 
     Computes the backbone once, solves the M mode subproblems, and averages
-    the folded per-mode solutions.  ``threads`` mode subproblems run at a
-    time, one thread each (default one); more pay only where two modes are
-    each large (see the module notes).  Output, traces included, is
-    identical for identical ``(ds, cfg)`` at every thread count.
-    ``threads`` follows the size rule of :mod:`sltr.tensor`.
+    the folded per-mode solutions.  The backbone takes the dataset's kept
+    :attr:`~sltr.data.Dataset.gram`, so only the first fit of ``ds`` pays for
+    the Gram product.  ``threads`` mode subproblems run at a time, one thread
+    each (default one); more pay only where two modes are each large (see
+    the module notes).  Output, traces included, is identical for identical
+    ``(ds, cfg)`` at every thread count, on a first fit or a later one.
+    ``threads`` follows the size rule of :mod:`sltr.tensor`.  The result's
+    ``seconds`` are the backbone's and each mode's wall times.
     """
     workers = _integer("threads", threads, 1)
-    bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims)
+    t0 = time.perf_counter()
+    bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims, gram=ds.gram)
+    backbone_s = time.perf_counter() - t0
     order = len(ds.dims)
 
     def solve(m):
+        t0 = time.perf_counter()
         w, trace = solve_subproblem(m, unfold(bb.tensor, m), ds.dims, cfg)
-        return fold(w, m, ds.dims), trace
+        return fold(w, m, ds.dims), trace, time.perf_counter() - t0
 
     if order > 1 and workers > 1:
         with ThreadPoolExecutor(max_workers=min(order, workers)) as ex:
             results = list(ex.map(solve, range(1, order + 1)))
     else:
         results = [solve(m) for m in range(1, order + 1)]
-    per_mode, trace = zip(*results)
+    per_mode, trace, seconds = zip(*results)
     # Summed left to right, ((p1 + p2) + p3) / 3; sum()'s 0 + p1 would turn -0.0 into 0.0.
     w_hat = functools.reduce(np.add, (t.data for t in per_mode)) / order
-    return FitResult(w_hat=Tensor._own(ds.dims, w_hat), per_mode=per_mode, trace=trace)
+    return FitResult(w_hat=Tensor._own(ds.dims, w_hat), per_mode=per_mode, trace=trace,
+                     seconds=(backbone_s, *seconds))
 
 
 def predict(w: Tensor, x) -> np.ndarray:

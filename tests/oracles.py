@@ -8,6 +8,12 @@ path with the package implementation it checks.
 import numpy as np
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bits, so -0.0 differs from 0.0 and a NaN equals itself."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def layout_offset(dims, idx):
     """Canonical flat offset of a zero-based multi-index (mode-1 fastest)."""
     off = 0

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -163,8 +164,13 @@ def test_fit_prints_residuals_and_one_certificate_per_mode(data, tmp_path, capsy
         for m, trace in enumerate(result.trace, start=1)
         for it, rel in enumerate(trace.residuals, start=1)
     ]
+    # The last column holds wall times, which differ from run to run: pin their form.
+    seconds = [float(row.pop()) for row in certificates[1:]]
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
     assert certificates == [
-        ["mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap", "exit"]
+        ["mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap", "exit",
+         "seconds"],
+        ["backbone", "", "", "", "", "", ""],
     ] + [
         [str(m), str(len(trace)), repr(c.objective), repr(c.linf_violation),
          repr(c.spectral_violation), repr(c.gap), c.exit]

@@ -9,6 +9,7 @@ from sltr import evaluation
 from sltr.evaluation import (
     auc,
     fold_indices,
+    mse,
     theorem_bound,
     three_mode_bound,
     unfolding_ranks,
@@ -36,6 +37,21 @@ class TestAuc:
 
     def test_all_tied_is_one_half(self):
         assert auc([3.0] * 5, [0, 1, 1, 0, 1]) == 0.5
+
+
+class TestMse:
+    def test_mean_of_squared_residuals(self):
+        assert mse([1.0, 2.0, 3.0], [1.0, 0.0, 6.0]) == 13.0 / 3
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            mse([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("y", [[], np.zeros(0), np.zeros((0, 3))], ids=["list", "1-D", "2-D"])
+    def test_empty_input_raises(self, y):
+        # A mean of nothing is no number: not a nan with numpy's "Mean of empty slice" warning.
+        with pytest.raises(ValueError, match="mse of no values"):
+            mse(y, y)
 
 
 class TestFoldIndices:

@@ -15,17 +15,14 @@ from sltr.data import Dataset
 from sltr.exceptions import FormatError
 from sltr.tensor import Tensor
 
+from oracles import same_bits
+
 # -0.0, a quiet NaN with a payload, a negative NaN, the smallest subnormal, inf.
 _SPECIAL_BITS = [0x8000000000000000, 0x7FF8000000000001, 0xFFF8000000000ABC, 1, 0x7FF0000000000000]
 
 
 def f64_from_bits(bits):
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def special_dataset():

@@ -4,7 +4,8 @@ Each producer writes its samples into the array the ``Dataset`` keeps, so the
 design matrix is held once; what is left over is the block buffers of the
 random stream and of ``dot_rows``.  A tensor the package builds keeps the
 array it was built in, and a sample is a view of its row.  The backbone holds
-its Gram matrix and no array the size of the design matrix.  tracemalloc sees
+its Gram matrix and no array the size of the design matrix, whether it makes
+that matrix or copies one it is given.  tracemalloc sees
 numpy's allocations.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from sltr import io as sio
+from sltr.data import Dataset
 from sltr.evaluation import kfold_cv
 from sltr.linalg import backbone
 from sltr.simulate import SimSpec, generate
@@ -63,6 +65,16 @@ def test_decode_dataset(dataset):
 def test_backbone(dataset):
     _, peak = traced_peak(backbone, dataset.x, dataset.y, 1.0, dataset.dims)
     assert peak <= 0.1 * dataset.x.nbytes
+
+
+def test_backbone_with_a_kept_gram(dataset):
+    # A given Gram matrix is copied, once, in place of the product the backbone would make.
+    args = dataset.x, dataset.y, 1.0, dataset.dims
+    gram = Dataset(dataset.dims, dataset.x, dataset.y).gram
+    cold, cold_peak = traced_peak(lambda: backbone(*args, gram=None))
+    warm, warm_peak = traced_peak(lambda: backbone(*args, gram=gram))
+    assert np.array_equal(warm.tensor.data, cold.tensor.data)
+    assert warm_peak <= cold_peak
 
 
 def test_subset(dataset):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sltr.data
 import sltr.linalg
 from sltr import solver
 from sltr.data import Dataset
+from sltr.evaluation import kfold_cv
 from sltr.exceptions import DivergenceError, NumericalError
 from sltr.linalg import backbone, nuclear_norm, spectral_norm
 from sltr.prox import (
@@ -28,7 +30,7 @@ from sltr.solver import (
 )
 from sltr.tensor import Tensor, inner, unfold
 
-from oracles import ppxa_reference
+from oracles import ppxa_reference, same_bits
 
 
 def base_cfg(**kw):
@@ -645,6 +647,98 @@ class TestFit:
             worst[tol] = max(gaps)
         assert worst[1e-3] <= 0.02
         assert worst[1e-4] <= worst[1e-3] / 5
+
+
+class TestGramReuse:
+    """Every fit of a dataset after the first takes its kept Gram matrix, with the same bits."""
+
+    # P <= N gives the primal system, P > N the dual one.
+    SHAPES = {"primal": ((3, 3, 2), 40), "dual": ((6, 5, 4), 40)}
+
+    def _dataset(self, shape, seed=3):
+        dims, n = self.SHAPES[shape]
+        return generate(SimSpec(dims=dims, n=n, seed=seed))[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("shape", ["primal", "dual"])
+    def test_warm_fit_equals_a_fit_on_a_fresh_dataset(self, shape, threads):
+        ds = self._dataset(shape)
+        cfg = base_cfg(lam=0.2, tau=0.6)
+        fit(ds, cfg, threads=threads)  # fills ds.gram
+        warm = fit(ds, cfg, threads=threads)
+        cold = fit(Dataset(ds.dims, ds.x, ds.y), cfg, threads=threads)
+        assert same_bits(warm.w_hat.data, cold.w_hat.data)
+        assert all(same_bits(a.data, b.data) for a, b in zip(warm.per_mode, cold.per_mode))
+        assert repr(warm.trace) == repr(cold.trace)
+
+    @pytest.mark.parametrize("shape", ["primal", "dual"])
+    def test_given_gram_gives_the_same_backbone(self, shape):
+        ds = self._dataset(shape)
+        bb = backbone(ds.x, ds.y, 0.7, ds.dims)
+        again = backbone(ds.x, ds.y, 0.7, ds.dims, gram=ds.gram)
+        assert same_bits(bb.tensor.data, again.tensor.data)
+        assert not ds.gram.flags.writeable  # copied, not changed
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_kfold_cv_makes_one_gram_per_fold(self, cells, monkeypatch):
+        real_gram, made = sltr.data._gram, []
+
+        def counting_gram(x):
+            made.append(x.shape)
+            return real_gram(x)
+
+        monkeypatch.setattr(sltr.data, "_gram", counting_gram)
+        ds = self._dataset("dual")
+        grid = [(0.5 * (i + 1), 1.0, 1.0) for i in range(cells)]
+        kfold_cv(ds, grid, base_cfg(max_iter=50), k=4)
+        assert len(made) == 4
+
+    def _cold_and_warm(self, ds):
+        """The errors of a first and a second fit of ``ds``."""
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NumericalError) as err:
+                fit(ds, base_cfg())
+            errors.append(str(err.value))
+        return errors
+
+    @pytest.mark.parametrize("shape", ["primal", "dual"])
+    def test_non_finite_design_raises_on_every_fit(self, shape):
+        ds = self._dataset(shape)
+        x = ds.x.copy()
+        x[2, 1] = np.nan
+        bad = Dataset(ds.dims, x, ds.y)
+        assert self._cold_and_warm(bad) == ["backbone requires finite design and responses"] * 2
+
+    @pytest.mark.parametrize("shape", ["primal", "dual"])
+    def test_overflowing_ridge_system_raises_on_every_fit(self, shape):
+        ds = self._dataset(shape)
+        big = Dataset(ds.dims, 1e160 * ds.x, ds.y)
+        errors = self._cold_and_warm(big)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("ridge system overflowed")
+
+    @pytest.mark.parametrize("n,p", [(5, 6), (8, 6)], ids=["dual", "primal"])
+    def test_wrong_gram_shape_names_the_expected_one(self, n, p):
+        x = np.random.default_rng(0).normal(size=(n, p))
+        k = min(n, p)
+        for bad in (np.eye(k + 1), np.eye(max(n, p)), np.ones((k, k + 1)), np.ones(k)):
+            with pytest.raises(ValueError, match=rf"gram must be the \({k}, {k}\) Gram matrix"):
+                backbone(x, np.zeros(n), 1.0, (p,), gram=bad)
+
+
+class TestFitSeconds:
+    def test_one_time_for_the_backbone_and_one_per_mode(self):
+        ds = generate(SimSpec(dims=(6, 5, 4), n=30, seed=0))[0]
+        result = fit(ds, base_cfg())
+        assert len(result.seconds) == 1 + len(ds.dims)
+        assert all(isinstance(s, float) and 0.0 <= s < 60.0 for s in result.seconds)
+
+    def test_times_take_no_part_in_equality_or_repr(self):
+        ds = generate(SimSpec(dims=(6, 5, 4), n=30, seed=0))[0]
+        result = fit(ds, base_cfg())
+        assert replace(result, seconds=(-1.0,)) == result
+        assert "seconds" not in repr(result)
 
 
 class TestPredict:

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .linalg import _gram
 from .tensor import Tensor, _dims
 
 __all__ = ["Dataset"]
@@ -26,9 +25,9 @@ class Dataset:
     them over through the private ``_own`` instead, so the design matrix is
     held once.
 
-    :attr:`gram` is computed on first use and kept, so every fit of one
-    dataset after the first skips the backbone's Gram product.  A new dataset,
-    from either way in or from :meth:`subset`, has none yet.
+    Each dataset also has a private dict, in which :func:`sltr.solver.fit`
+    keeps the dataset's backbone per epsilon.  A new dataset, from either way
+    in or from :meth:`subset`, starts with it empty.
 
     Parameters
     ----------
@@ -40,7 +39,7 @@ class Dataset:
         Responses.
     """
 
-    __slots__ = ("dims", "x", "y", "_gram")
+    __slots__ = ("dims", "x", "y", "_backbones")
 
     def __init__(self, dims, x, y):
         self._adopt(dims, x, y, copy=True)
@@ -69,7 +68,7 @@ class Dataset:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_backbones", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -77,24 +76,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The design's smaller Gram matrix, read-only: ``x.T @ x`` when P <= N, else ``x @ x.T``.
-
-        Computed on first use, as :func:`sltr.linalg.backbone` computes it, and
-        kept: later reads return the same array, and :func:`sltr.solver.fit`
-        hands it to the backbone.  It holds ``min(N, P)**2`` doubles, never
-        more than ``x`` itself, for as long as the dataset lives.  Two threads
-        that read it first at the same time both compute it, to the same bits,
-        and one of the two arrays is kept, so the race is harmless.
-        """
-        g = self._gram
-        if g is None:
-            g = _gram(self.x)
-            g.setflags(write=False)
-            object.__setattr__(self, "_gram", g)
-        return g
 
     def sample(self, i: int) -> Tensor:
         """Sample ``i`` as a tensor over a read-only view of row ``i`` of ``x``.

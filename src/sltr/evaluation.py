@@ -87,10 +87,14 @@ def auc(scores, labels) -> float:
 
 
 def fold_indices(n: int, k: int, fold_seed: int):
-    """Seeded shuffle into ``2 <= k <= n`` contiguous folds (first ``n % k`` get the extra)."""
+    """Seeded shuffle into ``2 <= k <= n`` contiguous folds (first ``n % k`` get the extra).
+
+    ``fold_seed`` is any integer, by the integer rule of :mod:`sltr.tensor`.
+    """
     if _integer("k", k, 2) > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return np.array_split(rng.shuffled_indices(n, n, fold_seed, rng.STREAM_FOLDS), k)
+    order = rng.shuffled_indices(n, n, _integer("fold_seed", fold_seed, None), rng.STREAM_FOLDS)
+    return np.array_split(order, k)
 
 
 def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_seed: int = 0,
@@ -107,8 +111,10 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
     their reasons.  The loop is fold-major: each fold's (train, validation)
     pair is built, used by every cell and freed before the next one, so a
     call holds one split beside ``ds``.  ``threads`` (default 1) goes to
-    :func:`~sltr.solver.fit`; it and ``k`` follow the size rule of :mod:`sltr.tensor`.
+    :func:`~sltr.solver.fit`; it and ``k`` follow the size rule of :mod:`sltr.tensor`,
+    and ``fold_seed`` is any integer, recorded in the report as an ``int``.
     """
+    fold_seed = _integer("fold_seed", fold_seed, None)
     cells = [(float(l), float(t), float(e)) for l, t, e in grid]
     if not cells:
         raise ValueError("empty parameter grid")

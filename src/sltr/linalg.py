@@ -10,14 +10,11 @@ evaluated once per solve (:func:`singular_values`, :func:`spectral_norm`,
 :func:`nuclear_norm`) uses the LAPACK SVD of one matrix.
 
 The ridge :func:`backbone` solves a system whose matrix is the design's
-smaller Gram product plus the ridge.  That product depends on the design
-alone and is most of a backbone's cost, so a caller that fits one design
-many times (a CV fold fits every grid cell on one training set) passes it
-in: :attr:`sltr.data.Dataset.gram` computes it on first use and keeps it,
-``min(N, P)**2`` doubles, never more than the design itself.  This is
-glmnet's "covariance updates" (Friedman, Hastie & Tibshirani, JSS 33, 2010)
-and scikit-learn's ``precompute`` Gram.  At 30x30x10, n = 720, the product
-is about half of the CPU time of a first fit.
+smaller Gram product plus the ridge.  That product is most of its cost
+(about half of a first fit's CPU time at 30x30x10, n = 720), and the
+answer depends on the design, the responses and epsilon alone, so
+:func:`sltr.solver.fit` keeps each dataset's backbone per epsilon and a
+later fit at that epsilon solves nothing.
 """
 
 from __future__ import annotations
@@ -127,20 +124,14 @@ def tensor_nuclear_norm(t: Tensor) -> float:
     return math.fsum(nuclear_norm(unfold(t, m)) for m in range(1, t.order + 1)) / t.order
 
 
-def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims, *, gram=None) -> Backbone:
+def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
     """Ridge plug-in point: the tensor whose canonical vector is ``(X'X + eps I)^-1 X'y``.
 
     Solves the P x P primal system when P <= N and the mathematically
     identical N x N dual (Woodbury) system ``X'(XX' + eps I)^-1 y`` when
     P > N, which is the cheap direction in the high-dimensional regime.
-
-    ``gram`` is that system's matrix before the ridge, ``x.T @ x`` or
-    ``x @ x.T``, as :attr:`sltr.data.Dataset.gram` holds it for a design
-    that is fitted many times.  It must be the ``min(N, P)`` square; it is
-    copied, never changed, and not checked against ``x``.  Given it, the
-    O(N P min(N, P)) product is skipped and the answer is the same bit for
-    bit.  Either way the backbone allocates one ``min(N, P)`` square beside
-    ``w``.
+    Either way it allocates one ``min(N, P)`` square, the Gram product
+    ``x.T @ x`` or ``x @ x.T`` with the ridge added, beside ``w``.
     """
     x = _as_matrix(x)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -152,15 +143,12 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims, *, gram=None) -
         raise ValueError(f"design has {p} columns but prod(dims) = {math.prod(dims)}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if gram is not None and np.shape(gram) != (min(n, p),) * 2:
-        raise ValueError(f"gram must be the {(min(n, p),) * 2} Gram matrix of the "
-                         f"{n} x {p} design, got shape {np.shape(gram)}")
     # Reductions, not an N x P mask: a NaN carries through max and min.
     if not all(np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0)) for a in (x, y)):
         raise NumericalError("backbone requires finite design and responses")
     primal = p <= n
-    g = _gram(x) if gram is None else np.array(gram, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # finite x can overflow; w is checked
+        g = x.T @ x if primal else x @ x.T
         g.flat[:: len(g) + 1] += epsilon  # the ridge, added in place
         try:
             w = np.linalg.solve(g, x.T @ y) if primal else x.T @ np.linalg.solve(g, y)
@@ -169,18 +157,6 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims, *, gram=None) -
     if not (np.isfinite(w.max()) and np.isfinite(w.min())):
         raise NumericalError("ridge system overflowed: its solution has a non-finite entry")
     return Backbone(tensor=Tensor._own(dims, w))
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of a design: ``x.T @ x`` when P <= N, else ``x @ x.T``.
-
-    A fresh, writable ``min(N, P)`` square.  A finite ``x`` can overflow it,
-    or leave a NaN in it, without a warning: :func:`backbone` checks its
-    answer instead.
-    """
-    x = _as_matrix(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x.T @ x if x.shape[1] <= x.shape[0] else x @ x.T
 
 
 def _finite_matrix(a):

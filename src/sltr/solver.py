@@ -205,8 +205,9 @@ class FitResult:
     """Estimate plus per-mode solutions, traces and certificates.
 
     ``trace[m-1]`` is the mode-m :class:`ModeTrace`.  ``seconds`` holds wall
-    times: ``seconds[0]`` for the backbone and ``seconds[m]`` for mode m's
-    solve, unfolding and folding included.  They differ from run to run, so
+    times: ``seconds[0]`` for the backbone, a dict lookup when the dataset
+    already keeps it at this epsilon, and ``seconds[m]`` for mode m's solve,
+    unfolding and folding included.  They differ from run to run, so
     they take no part in ``==`` or ``repr``.
     """
 
@@ -345,19 +346,27 @@ def _l1_box_conjugate(z, ctr):
 def fit(ds: Dataset, cfg: SolverConfig, threads: int = 1) -> FitResult:
     """Fit the estimator on a dataset.
 
-    Computes the backbone once, solves the M mode subproblems, and averages
-    the folded per-mode solutions.  The backbone takes the dataset's kept
-    :attr:`~sltr.data.Dataset.gram`, so only the first fit of ``ds`` pays for
-    the Gram product.  ``threads`` mode subproblems run at a time, one thread
-    each (default one); more pay only where two modes are each large (see
-    the module notes).  Output, traces included, is identical for identical
-    ``(ds, cfg)`` at every thread count, on a first fit or a later one.
-    ``threads`` follows the size rule of :mod:`sltr.tensor`.  The result's
-    ``seconds`` are the backbone's and each mode's wall times.
+    Computes the backbone, solves the M mode subproblems, and averages the
+    folded per-mode solutions.  The backbone depends on ``ds`` and
+    ``cfg.epsilon`` alone, so ``ds`` keeps it per epsilon, and a later fit
+    at a kept epsilon solves no ridge system.  The trade: a CV fold makes
+    one Gram product per distinct epsilon of its grid (three for the 243
+    cells of :func:`~sltr.evaluation.default_grid`), where keeping the Gram
+    would make one, and ``ds`` holds one P-entry tensor per epsilon, never
+    the ``min(N, P)**2`` Gram.  A backbone that raises is not kept, so it
+    raises on every fit; two threads that fit ``ds`` first at once may both
+    solve it, to the same bits.  ``threads`` mode subproblems run at a time,
+    one thread each (default one); more pay only where two modes are each
+    large (see the module notes).  Output, traces included, is identical for
+    identical ``(ds, cfg)`` at every thread count, on a first fit or a later
+    one.  ``threads`` follows the size rule of :mod:`sltr.tensor`.  The
+    result's ``seconds`` are the backbone's and each mode's wall times.
     """
     workers = _integer("threads", threads, 1)
     t0 = time.perf_counter()
-    bb = backbone(ds.x, ds.y, cfg.epsilon, ds.dims, gram=ds.gram)
+    bb = ds._backbones.get(cfg.epsilon)
+    if bb is None:
+        bb = ds._backbones.setdefault(cfg.epsilon, backbone(ds.x, ds.y, cfg.epsilon, ds.dims))
     backbone_s = time.perf_counter() - t0
     order = len(ds.dims)
 

@@ -1,15 +1,9 @@
-"""The Dataset container: its copying constructor, sample views, row subsets and kept Gram."""
-
-import sys
-import threading
+"""The Dataset container: its copying constructor, sample views and row subsets."""
 
 import numpy as np
 import pytest
 
-from sltr import io as sio
 from sltr.data import Dataset
-
-from oracles import same_bits
 
 
 def small_dataset():
@@ -68,68 +62,3 @@ class TestSubset:
             small_dataset().subset(indices)
         assert repr(indices) in str(err.value)
 
-
-class TestGram:
-    @pytest.mark.parametrize("n,p", [(7, 4), (4, 4), (3, 8)], ids=["primal", "square", "dual"])
-    def test_the_smaller_product_of_the_design(self, n, p):
-        x = np.random.default_rng(n * p).normal(size=(n, p))
-        ds = Dataset((p,), x, np.zeros(n))
-        # P <= N takes x'x, as the backbone's primal system does; P > N takes xx'.
-        assert same_bits(ds.gram, x.T @ x if p <= n else x @ x.T)
-
-    def test_read_only_and_kept(self):
-        ds = small_dataset()
-        g = ds.gram
-        assert not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0, 0] = 1.0
-        assert ds.gram is g
-
-    def test_held_gram_is_never_larger_than_the_design(self):
-        for n, p in [(7, 4), (3, 8), (5, 5)]:
-            ds = Dataset((p,), np.ones((n, p)), np.zeros(n))
-            assert ds.gram.nbytes == min(n, p) ** 2 * 8 <= ds.x.nbytes
-
-    def test_new_datasets_have_none_yet(self, tmp_path, monkeypatch):
-        ds = small_dataset()
-        ds.gram  # kept by ds alone: nothing made from ds takes it
-        sio.write_dataset(tmp_path / "d.ds", ds)
-        made = [ds.subset([0, 1]), Dataset(ds.dims, ds.x, ds.y), sio.read_dataset(tmp_path / "d.ds")]
-        computed = []
-        monkeypatch.setattr("sltr.data._gram", lambda x: computed.append(x) or x @ x.T)
-        for other in made:
-            other.gram
-        assert len(computed) == len(made)
-
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
-    def test_no_warning_from_a_non_finite_product(self, entry):
-        # RuntimeWarnings are errors in this suite: the backbone reports such a design.
-        x = np.random.default_rng(0).normal(size=(3, 4))
-        x[1, 2] = entry
-        g = Dataset((4,), x, np.zeros(3)).gram
-        assert not np.isfinite(g).all()
-
-    def test_threads_reading_it_first_all_get_the_same_bits(self):
-        # Threads that race to fill the slot each compute the product; the race is harmless
-        # because every one of them gets the same bits and one array is kept.
-        x = np.random.default_rng(3).normal(size=(60, 80))
-        ds = Dataset((80,), x, np.zeros(60))
-        start, seen = threading.Barrier(8), [None] * 8
-
-        def read(i):
-            start.wait(timeout=30)
-            seen[i] = ds.gram
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(same_bits(g, x @ x.T) for g in seen)
-        assert any(g is ds.gram for g in seen) and ds.gram is ds.gram

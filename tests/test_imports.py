@@ -9,7 +9,9 @@ module.  Every name in a module's ``__all__`` must be defined at its top
 level, and the package's ``__all__`` must be exactly the names its
 ``__init__`` imports, so a deleted name cannot linger as an export.  Only
 ``tensor.py`` imports :mod:`numbers`: the size rule lives there alone, and
-every other module checks sizes through it.
+every other module checks sizes through it.  The package is layered:
+``data.py`` imports only ``tensor`` from the package, so the data container
+holds no estimator code or state, and no module imports ``cli``.
 """
 
 import ast
@@ -139,3 +141,48 @@ def test_import_checker_finds_every_form():
                  "import os, numbers", "def f():\n    import numbers.abc"):
         assert "numbers" in imported_modules(line), line
     assert "numbers" not in imported_modules("from .numbers import x\nimport numberslike")
+
+
+def package_imports(source: str) -> set:
+    """Names of the package's modules that ``source`` imports, relatively or as ``sltr.*``."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[1] for alias in node.names
+                           if alias.name.startswith("sltr."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "sltr":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                modules.add(parts[0])
+            else:  # from . import io
+                modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def test_data_imports_only_tensor_from_the_package():
+    assert package_imports((PACKAGE / "data.py").read_text()) <= {"tensor"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_the_cli(path):
+    assert "cli" not in package_imports(path.read_text())
+
+
+def test_package_import_checker_finds_every_form():
+    source = (
+        "from . import io as sio, cli\n"
+        "from .linalg import _gram\n"
+        "from .tensor.sub import x\n"
+        "from sltr.solver import fit\n"
+        "from sltr import rng\n"
+        "import sltr.prox\n"
+        "import numpy, sltrlike\n"
+        "from numpy import linalg\n"
+        "def f():\n    from .simulate import generate\n"
+    )
+    assert package_imports(source) == {
+        "io", "cli", "linalg", "tensor", "solver", "rng", "prox", "simulate"}

@@ -4,13 +4,15 @@ Each producer writes its samples into the array the ``Dataset`` keeps, so the
 design matrix is held once; what is left over is the block buffers of the
 random stream and of ``dot_rows``.  A tensor the package builds keeps the
 array it was built in, and a sample is a view of its row.  The backbone holds
-its Gram matrix and no array the size of the design matrix, whether it makes
-that matrix or copies one it is given.  tracemalloc sees
-numpy's allocations.
+its Gram matrix and no array the size of the design matrix, and a fitted
+dataset keeps one P-entry backbone per epsilon and no Gram matrix.
+tracemalloc sees numpy's allocations.
 """
 
+import gc
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from sltr.data import Dataset
 from sltr.evaluation import kfold_cv
 from sltr.linalg import backbone
 from sltr.simulate import SimSpec, generate
-from sltr.solver import SolverConfig
+from sltr.solver import SolverConfig, fit
 from sltr.tensor import Tensor, fold
 
 SPEC = SimSpec((20, 20, 10), n=200, seed=0)  # a 6.4 MB design matrix
@@ -67,14 +69,29 @@ def test_backbone(dataset):
     assert peak <= 0.1 * dataset.x.nbytes
 
 
-def test_backbone_with_a_kept_gram(dataset):
-    # A given Gram matrix is copied, once, in place of the product the backbone would make.
-    args = dataset.x, dataset.y, 1.0, dataset.dims
-    gram = Dataset(dataset.dims, dataset.x, dataset.y).gram
-    cold, cold_peak = traced_peak(lambda: backbone(*args, gram=None))
-    warm, warm_peak = traced_peak(lambda: backbone(*args, gram=gram))
-    assert np.array_equal(warm.tensor.data, cold.tensor.data)
-    assert warm_peak <= cold_peak
+def held_arrays(obj) -> list:
+    """Every numpy array that ``obj`` reaches through its attributes and containers."""
+    seen, todo, arrays = set(), [obj], []
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+        todo.extend(gc.get_referents(o))
+    return arrays
+
+
+@pytest.mark.parametrize("epsilons", [(1.0,), (1.0, 0.1, 10.0)], ids=["1-epsilon", "3-epsilons"])
+def test_a_fitted_dataset_keeps_one_tensor_per_epsilon(dataset, epsilons):
+    ds = Dataset(dataset.dims, dataset.x, dataset.y)
+    for eps in (*epsilons, *epsilons):
+        fit(ds, SolverConfig(lam=1.0, tau=1.0, epsilon=eps, max_iter=5))
+    kept = [a for a in held_arrays(ds) if not (a is ds.x or a is ds.y)]
+    n, p = ds.x.shape
+    assert sorted(a.size for a in kept) == [p] * len(epsilons)
+    assert min(n, p) ** 2 not in [a.size for a in held_arrays(ds)]
 
 
 def test_subset(dataset):

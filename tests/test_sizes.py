@@ -4,7 +4,9 @@ Each entry point that takes one is called with it set to a value, the rest of
 its arguments valid.  A float, a ``bool``, zero or a negative number raises
 :class:`ValueError` with the rule's message, rather than being truncated,
 clamped or read as 1; a Python or numpy integer in bounds is accepted.  An
-empty ``dims`` raises at every entry point that takes one.
+empty ``dims`` raises at every entry point that takes one.  A seed is any
+integer, negative too, by the same rule: a float, a ``bool`` or a string
+raises rather than being read as an integer.
 """
 
 import numpy as np
@@ -52,6 +54,13 @@ DIMS_ENTRY_POINTS = {
     "SimSpec": lambda d: SimSpec(dims=d, n=1),
 }
 
+# Each takes a seed.
+SEED_ENTRY_POINTS = {
+    "SimSpec seed": lambda v: SimSpec(dims=(2,), n=1, seed=v),
+    "fold_indices fold_seed": lambda v: fold_indices(6, 2, v),
+    "kfold_cv fold_seed": lambda v: kfold_cv(DS, [(1.0, 1.0, 1.0)], CFG, k=2, fold_seed=v),
+}
+
 
 @pytest.mark.parametrize("value", [2.5, True, 0, -1], ids=repr)
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -64,6 +73,24 @@ def test_a_bad_size_raises(entry, value):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_an_integer_size_is_accepted(entry, value):
     ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_a_bad_seed_raises(entry, value):
+    with pytest.raises(ValueError, match=r"seed must be an integer, got "):
+        SEED_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [-1, 0, np.int64(3)], ids=repr)
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_an_integer_seed_is_accepted(entry, value):
+    SEED_ENTRY_POINTS[entry](value)
+
+
+def test_kfold_cv_records_the_seed_it_used():
+    report = kfold_cv(DS, [(1.0, 1.0, 1.0)], CFG, k=2, fold_seed=np.int64(3))
+    assert type(report.fold_seed) is int and report.fold_seed == 3
 
 
 @pytest.mark.parametrize("entry", DIMS_ENTRY_POINTS)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sltr.data
 import sltr.linalg
+from sltr import io as sio
 from sltr import solver
 from sltr.data import Dataset
 from sltr.evaluation import kfold_cv
@@ -650,7 +652,7 @@ class TestFit:
 
 
 class TestGramReuse:
-    """Every fit of a dataset after the first takes its kept Gram matrix, with the same bits."""
+    """Every fit of a dataset after the first at an epsilon takes its kept backbone, same bits."""
 
     # P <= N gives the primal system, P > N the dual one.
     SHAPES = {"primal": ((3, 3, 2), 40), "dual": ((6, 5, 4), 40)}
@@ -664,34 +666,77 @@ class TestGramReuse:
     def test_warm_fit_equals_a_fit_on_a_fresh_dataset(self, shape, threads):
         ds = self._dataset(shape)
         cfg = base_cfg(lam=0.2, tau=0.6)
-        fit(ds, cfg, threads=threads)  # fills ds.gram
+        fit(ds, cfg, threads=threads)  # keeps the backbone on ds
         warm = fit(ds, cfg, threads=threads)
         cold = fit(Dataset(ds.dims, ds.x, ds.y), cfg, threads=threads)
         assert same_bits(warm.w_hat.data, cold.w_hat.data)
         assert all(same_bits(a.data, b.data) for a, b in zip(warm.per_mode, cold.per_mode))
         assert repr(warm.trace) == repr(cold.trace)
 
+    def _fit_all_at_once(self, ds, cfg, count):
+        """The results of ``count`` threads that fit ``ds`` at the same moment."""
+        start, results = threading.Barrier(count), [None] * count
+
+        def run(i):
+            start.wait(timeout=30)
+            results[i] = fit(ds, cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
     @pytest.mark.parametrize("shape", ["primal", "dual"])
-    def test_given_gram_gives_the_same_backbone(self, shape):
+    def test_threads_fitting_a_fresh_dataset_at_once_all_get_the_same_bits(self, shape):
+        # Threads that race to keep the backbone may each solve it; every one gets the same bits.
         ds = self._dataset(shape)
-        bb = backbone(ds.x, ds.y, 0.7, ds.dims)
-        again = backbone(ds.x, ds.y, 0.7, ds.dims, gram=ds.gram)
-        assert same_bits(bb.tensor.data, again.tensor.data)
-        assert not ds.gram.flags.writeable  # copied, not changed
+        cfg = base_cfg(lam=0.2, tau=0.6)
+        results = self._fit_all_at_once(ds, cfg, 8)
+        cold = fit(Dataset(ds.dims, ds.x, ds.y), cfg)
+        for r in results:
+            assert same_bits(r.w_hat.data, cold.w_hat.data)
+            assert all(same_bits(a.data, b.data) for a, b in zip(r.per_mode, cold.per_mode))
+            assert repr(r.trace) == repr(cold.trace)
 
-    @pytest.mark.parametrize("cells", [1, 4])
-    def test_kfold_cv_makes_one_gram_per_fold(self, cells, monkeypatch):
-        real_gram, made = sltr.data._gram, []
+    def _counting_backbone(self, monkeypatch):
+        """The ``(N, epsilon)`` of every backbone that ``fit`` solves from now on."""
+        real, made = solver.backbone, []
 
-        def counting_gram(x):
-            made.append(x.shape)
-            return real_gram(x)
+        def counting(x, y, epsilon, dims):
+            made.append((x.shape[0], epsilon))
+            return real(x, y, epsilon, dims)
 
-        monkeypatch.setattr(sltr.data, "_gram", counting_gram)
+        monkeypatch.setattr(solver, "backbone", counting)
+        return made
+
+    @pytest.mark.parametrize("cells,epsilons", [(1, (1.0,)), (3, (1.0,)), (4, (1.0, 0.5))],
+                             ids=["1-cell", "3-cells-1-epsilon", "4-cells-2-epsilons"])
+    def test_kfold_cv_makes_one_backbone_per_fold_and_epsilon(self, cells, epsilons, monkeypatch):
+        made = self._counting_backbone(monkeypatch)
         ds = self._dataset("dual")
-        grid = [(0.5 * (i + 1), 1.0, 1.0) for i in range(cells)]
+        grid = [(0.5 * (i + 1), 1.0, epsilons[i % len(epsilons)]) for i in range(cells)]
         kfold_cv(ds, grid, base_cfg(max_iter=50), k=4)
-        assert len(made) == 4
+        # The folds train on 30 rows each, so (N, epsilon) pairs repeat across folds only.
+        assert sorted(made) == sorted((30, e) for e in epsilons for _ in range(4))
+
+    def test_datasets_made_from_a_fitted_one_solve_their_own(self, tmp_path, monkeypatch):
+        ds = self._dataset("primal")
+        fit(ds, base_cfg())
+        sio.write_dataset(tmp_path / "d.ds", ds)
+        made_from = [ds.subset(range(ds.n)), Dataset(ds.dims, ds.x, ds.y),
+                     sio.read_dataset(tmp_path / "d.ds")]
+        made = self._counting_backbone(monkeypatch)
+        for other in [ds, *made_from]:
+            fit(other, base_cfg())
+        assert len(made) == len(made_from)
 
     def _cold_and_warm(self, ds):
         """The errors of a first and a second fit of ``ds``."""
@@ -717,14 +762,6 @@ class TestGramReuse:
         errors = self._cold_and_warm(big)
         assert errors[0] == errors[1]
         assert errors[0].startswith("ridge system overflowed")
-
-    @pytest.mark.parametrize("n,p", [(5, 6), (8, 6)], ids=["dual", "primal"])
-    def test_wrong_gram_shape_names_the_expected_one(self, n, p):
-        x = np.random.default_rng(0).normal(size=(n, p))
-        k = min(n, p)
-        for bad in (np.eye(k + 1), np.eye(max(n, p)), np.ones((k, k + 1)), np.ones(k)):
-            with pytest.raises(ValueError, match=rf"gram must be the \({k}, {k}\) Gram matrix"):
-                backbone(x, np.zeros(n), 1.0, (p,), gram=bad)
 
 
 class TestFitSeconds:

@@ -2,10 +2,9 @@
 
 The solver's per-sweep spectral work goes through the thresholded
 :func:`svd` kernel, which computes only the singular triplets above a
-threshold from ``eigh`` of the smaller Gram matrix (``a a'`` or ``a' a``),
-and falls back to the LAPACK SVD when the eigenvalues it relies on sit too
-far below the largest one for the squared spectrum to resolve them.  That
-kernel is the only Gram path of the spectral operators.  Everything
+threshold from ``eigh`` of ``b b'``, ``b`` the wide one of ``a`` and ``a'``.
+Wherever that Gram path cannot answer to its stated accuracy, the kernel
+truncates the LAPACK SVD instead: that is its one way out.  Everything
 evaluated once per solve (:func:`singular_values`, :func:`spectral_norm`,
 :func:`nuclear_norm`) uses the LAPACK SVD of one matrix.
 
@@ -23,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
 from .tensor import Tensor, _dims, unfold
@@ -72,24 +70,23 @@ def svd(a: np.ndarray, above: float) -> SvdFactors:
     """The singular triplets of a matrix with ``s > above``.
 
     This is the thresholded spectral kernel: with ``above = t``, ``eigh`` of the
-    smaller Gram matrix (``a a'`` or ``a' a``), whose eigenvectors with
-    eigenvalue above ``t**2`` are the kept singular vectors on that side.
-    Each kept singular value is recomputed as the norm of ``a`` projected on
-    its vector, which also gives the vector on the other side and keeps small
-    singular values accurate.  This costs one Gram product, a small symmetric
-    eigensolve and one product with the kept vectors instead of a full SVD.
-    The Gram matrix squares the spectrum: when some kept eigenvalue is at
-    most ``1e-8`` times the largest (a kept singular value at most
-    ``1e-4 * ||a||_2``), or when a nonzero largest ``|a_ij|`` is outside
-    ``[2**-400, 2**400]``, where its square underflows or overflows, the
-    kernel truncates the LAPACK SVD instead.  Either way the soft-thresholded
-    spectrum ``max(s - t, 0)`` and the matrices built from it agree with the
-    full SVD's to about ``2e-12 * ||a||_2``.
+    smaller Gram matrix, whose eigenvectors with eigenvalue above ``t**2`` are
+    the kept singular vectors on that side.  Each kept singular value is
+    recomputed as the norm of ``a`` projected on its vector, which also gives
+    the vector on the other side and keeps small singular values accurate.
+    This costs one Gram product, a small symmetric eigensolve and one product
+    with the kept vectors instead of a full SVD.  Where it answers, a non-square
+    ``a`` has ``svd(a.T, t)`` equal to ``svd(a, t)`` with ``u`` and ``v``
+    swapped, bit for bit; where it cannot (see :func:`_gram_svd`), the kernel
+    truncates the LAPACK SVD.  Either way the soft-thresholded spectrum
+    ``max(s - t, 0)`` and the matrices built from it agree with the full SVD's
+    to ``2e-12 * ||a||_2``.
     """
-    a, scale = _finite_matrix(a)
+    a = _as_matrix(a)
+    scale = _max_abs(a, "SVD requires finite entries")
     if not above >= 0:
         raise ValueError(f"threshold must be non-negative, got {above}")
-    f = _gram_svd(a, above) if scale == 0 or 2.0**-400 <= scale <= 2.0**400 else None
+    f = _gram_svd(a, above, scale)
     if f is None:
         u, s, vh = _lapack_svd(a, compute_uv=True)
         k = int(np.count_nonzero(s > above))
@@ -99,7 +96,9 @@ def svd(a: np.ndarray, above: float) -> SvdFactors:
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values only (non-increasing), skipping the factor computation."""
-    return _lapack_svd(_finite_matrix(a)[0], compute_uv=False)
+    a = _as_matrix(a)
+    _max_abs(a, "SVD requires finite entries")
+    return _lapack_svd(a, compute_uv=False)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -143,9 +142,8 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
         raise ValueError(f"design has {p} columns but prod(dims) = {math.prod(dims)}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    # Reductions, not an N x P mask: a NaN carries through max and min.
-    if not all(np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0)) for a in (x, y)):
-        raise NumericalError("backbone requires finite design and responses")
+    for a in (x, y):
+        _max_abs(a, "backbone requires finite design and responses")
     primal = p <= n
     with np.errstate(over="ignore", invalid="ignore"):  # finite x can overflow; w is checked
         g = x.T @ x if primal else x @ x.T
@@ -154,51 +152,48 @@ def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:
             w = np.linalg.solve(g, x.T @ y) if primal else x.T @ np.linalg.solve(g, y)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"ridge system singular despite epsilon={epsilon}: {exc}") from exc
-    if not (np.isfinite(w.max()) and np.isfinite(w.min())):
-        raise NumericalError("ridge system overflowed: its solution has a non-finite entry")
+    _max_abs(w, "ridge system overflowed: its solution has a non-finite entry")
     return Backbone(tensor=Tensor._own(dims, w))
 
 
-def _finite_matrix(a):
-    a = _as_matrix(a)
-    scale = float(np.abs(a).max(initial=0.0))  # the largest |a_ij|; a NaN carries through
-    if not math.isfinite(scale):
-        raise NumericalError("SVD requires finite entries")
-    return a, scale
+def _max_abs(a: np.ndarray, message: str) -> float:
+    """The largest ``|a_ij|`` (0 for no entries) from a max and a min; ``message`` if not finite."""
+    hi, lo = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):  # a NaN carries through both
+        raise NumericalError(message)
+    return max(hi, -lo)
 
 
-def _gram_svd(a: np.ndarray, above: float) -> SvdFactors | None:
+def _gram_svd(a: np.ndarray, above: float, scale: float) -> SvdFactors | None:
     """The triplets of ``a`` with ``s > above``, from ``eigh`` of its smaller Gram matrix.
 
-    ``None`` when some kept eigenvalue is at most ``_GRAM_RTOL`` times the
-    largest, or when ``eigh`` fails: the caller then truncates the LAPACK SVD.
+    A tall ``a`` is handled as its wide transpose ``b = a.T``, and ``u`` and
+    ``v`` swap at the return.  ``None``, for the caller's LAPACK fallback,
+    wherever this path cannot answer: ``scale``, the largest ``|a_ij|``, is
+    nonzero and outside ``[2**-400, 2**400]``, where its square underflows or
+    overflows; ``eigh`` fails; a kept eigenvalue is at most ``_GRAM_RTOL``
+    times the largest; or rounding puts a recomputed value out of order or
+    onto the threshold.
     """
-    m, n = a.shape
-    wide = m <= n
+    if not (scale == 0 or 2.0**-400 <= scale <= 2.0**400):
+        return None
+    b = a if a.shape[0] <= a.shape[1] else a.T
     try:
-        lam, q = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+        lam, q = np.linalg.eigh(b @ b.T)
     except np.linalg.LinAlgError:
         return None
     k = int(np.count_nonzero(lam > above * above))
     if k == 0:
-        return SvdFactors(u=np.zeros((m, 0)), s=np.zeros(0), v=np.zeros((n, 0)))
+        return SvdFactors(u=np.zeros((a.shape[0], 0)), s=np.zeros(0), v=np.zeros((a.shape[1], 0)))
     if lam[-k] <= _GRAM_RTOL * lam[-1]:
         return None
     q = q[:, -k:][:, ::-1]  # kept eigenvectors, largest eigenvalue first
-    if wide:
-        w = q.T @ a  # row i is s_i v_i'
-        s = np.sqrt((w * w).sum(axis=1))
-        u, v = q, (w / s[:, None]).T
-    else:
-        w = a @ q  # column i is s_i u_i
-        s = np.sqrt((w * w).sum(axis=0))
-        u, v = w / s, q
+    w = q.T @ b  # row i is s_i v_i' of b
+    s = np.sqrt((w * w).sum(axis=1))
     if s[-1] <= above or (s[1:] > s[:-1]).any():
-        # Rounding moved a recomputed value of a cluster out of order or onto the threshold.
-        order = np.argsort(-s, kind="stable")
-        order = order[s[order] > above]
-        u, s, v = u[:, order], s[order], v[:, order]
-    return SvdFactors(u=u, s=s, v=v)
+        return None
+    v = (w / s[:, None]).T
+    return SvdFactors(u=q, s=s, v=v) if b is a else SvdFactors(u=v, s=s, v=q)
 
 
 def _lapack_svd(a: np.ndarray, compute_uv: bool):
@@ -209,6 +204,8 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool):
     try:
         return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
+        import scipy.linalg  # only here: importing sltr does not load it
+
         try:
             return scipy.linalg.svd(a, full_matrices=False, compute_uv=compute_uv,
                                     lapack_driver="gesvd")

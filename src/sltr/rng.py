@@ -19,13 +19,16 @@ same bits whatever the block size, and the first ``k`` of them are the ``k``
 values of a shorter draw.
 
 Stream ids: 0 = coefficient entries, 1 = sparsity mask, 2 = sample entries,
-3 = noise, 4 = cross-validation fold shuffle.
+3 = noise, 4 = cross-validation fold shuffle.  Seeds, stream ids and counts
+follow the size rule of :mod:`sltr.tensor`; a seed may be negative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtri
+
+from .tensor import _integer
 
 __all__ = [
     "STREAM_COEF",
@@ -51,8 +54,9 @@ _BLOCK = 1 << 16
 
 
 def _draw(seed: int, stream: int, n: int, normal: bool) -> np.ndarray:
-    key = np.array([int(seed) % 2 ** 64, int(stream)], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    key = [_integer("seed", seed, None) % 2 ** 64, _integer("stream", stream, 0)]
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    n = _integer("n", n, 0)
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         w = bitgen.random_raw(min(_BLOCK, n - start))
@@ -81,12 +85,11 @@ def shuffled_indices(n: int, k: int, seed: int, stream: int) -> np.ndarray:
     With ``k == n`` this is a full shuffle.  The swap targets come from the
     pinned uniform stream, so the selection is reproducible bit-for-bit.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    idx = np.arange(n)
-    if k == 0:
-        return idx[:0]
+    n, k = _integer("n", n, 0), _integer("k", k, 0)
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k}, n={n}")
     u = uniforms(seed, stream, k)
+    idx = np.arange(n)
     for i in range(k):
         j = i + int(u[i] * (n - i))
         idx[i], idx[j] = idx[j], idx[i]

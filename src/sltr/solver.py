@@ -107,8 +107,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .exceptions import DivergenceError, NumericalError
-from .linalg import backbone, nuclear_norm, spectral_norm
+from .exceptions import DivergenceError
+from .linalg import _max_abs, backbone, nuclear_norm, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
 from .tensor import Tensor, _dims, _integer, _unfolding_shape, dot_rows, fold, unfold
 from .tensor import inner  # noqa: F401  perfbench/spans.py traces sltr.solver.inner
@@ -260,17 +260,16 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     center = np.asarray(center, dtype=np.float64)
     if center.shape != shape:
         raise ValueError(f"center must be the {shape} mode-{m} unfolding, got {center.shape}")
-    if not np.isfinite(center).all():
-        raise NumericalError("center has a non-finite entry")
+    scale = _max_abs(center, "center has a non-finite entry")
     # Norms square the entries, and the solve is exact under powers of two:
     # run it with the largest entry in [1, 2) and scale back.  A radius that
     # underflows there pins w to c, as the smallest positive double does, and
     # a radius or certificate field past the largest double reads inf.
-    k = 1 - math.frexp(float(np.max(np.abs(center))))[1]
+    k = 1 - math.frexp(scale)[1]
     with np.errstate(over="ignore"):
         lam, tau = np.maximum(np.ldexp([cfg.lam, cfg.tau], k), math.ulp(0.0)).tolist()
     ctr = ConstraintCenter(np.ldexp(center, k), lam, tau)
-    if np.max(np.abs(ctr.c)) <= lam and spectral_norm(ctr.c) <= tau:
+    if math.ldexp(scale, k) <= lam and spectral_norm(ctr.c) <= tau:
         # 0 lies in both balls, and it is the unique minimiser of ||w||_1 + ||w||_*.
         return np.zeros_like(center), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
     # The centre's rms entry, capped by the radii and floored; see the module notes.

@@ -11,10 +11,16 @@ level, and the package's ``__all__`` must be exactly the names its
 ``tensor.py`` imports :mod:`numbers`: the size rule lives there alone, and
 every other module checks sizes through it.  The package is layered:
 ``data.py`` imports only ``tensor`` from the package, so the data container
-holds no estimator code or state, and no module imports ``cli``.
+holds no estimator code: the solver keeps its per-epsilon backbones in a
+private dict of each dataset, but ``data.py`` never makes one.  No module
+imports ``cli``, and a fresh ``import sltr`` leaves :mod:`scipy.linalg`
+unloaded, since only the SVD's last fallback needs it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,3 +192,12 @@ def test_package_import_checker_finds_every_form():
     )
     assert package_imports(source) == {
         "io", "cli", "linalg", "tensor", "solver", "rng", "prox", "simulate"}
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, sltr; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sltr.linalg
 from sltr.exceptions import NumericalError
 from sltr.linalg import (
     backbone,
@@ -14,6 +15,8 @@ from sltr.linalg import (
     tensor_nuclear_norm,
 )
 from sltr.tensor import Tensor, unfold
+
+from oracles import same_bits
 
 
 def _gram_singular_values(a):
@@ -141,6 +144,21 @@ class TestThresholdedSvd:
                 # Every kept eigenvalue is above 1e-8 * lam_max, so the Gram path ran, unless
                 # the scale sent it to LAPACK; recomputed values keep their relative accuracy.
                 np.testing.assert_allclose(f.s, ref.S[:k], rtol=1e-11)
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (1, 30), (30, 1)], ids=str)
+    def test_transpose_swaps_the_factors_bit_for_bit(self, shape, monkeypatch):
+        # a.T is the transposed view.  LAPACK rounds a and a.T differently, so the Gram
+        # path must answer every threshold here: at t >= 1e-4 ||a||_2 it does.
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("the Gram path did not answer")
+
+        monkeypatch.setattr(sltr.linalg, "_lapack_svd", no_lapack)
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        norm = np.linalg.svd(a, compute_uv=False)[0]
+        for t in norm * np.array([1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9]):
+            f, g = svd(a, above=t), svd(a.T, above=t)
+            assert f.s.size > 0
+            assert same_bits(g.s, f.s) and same_bits(g.u, f.v) and same_bits(g.v, f.u)
 
     def test_nothing_above_threshold_is_empty(self):
         a = _with_spectrum([2.0, 1.0], 3, 5, 25)

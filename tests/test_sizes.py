@@ -6,12 +6,14 @@ its arguments valid.  A float, a ``bool``, zero or a negative number raises
 clamped or read as 1; a Python or numpy integer in bounds is accepted.  An
 empty ``dims`` raises at every entry point that takes one.  A seed is any
 integer, negative too, by the same rule: a float, a ``bool`` or a string
-raises rather than being read as an integer.
+raises rather than being read as an integer.  A random stream id and a count
+of draws or indices may be 0, and follow the rule with that bound.
 """
 
 import numpy as np
 import pytest
 
+from sltr import rng
 from sltr.data import Dataset
 from sltr.evaluation import fold_indices, kfold_cv
 from sltr.linalg import backbone
@@ -59,6 +61,20 @@ SEED_ENTRY_POINTS = {
     "SimSpec seed": lambda v: SimSpec(dims=(2,), n=1, seed=v),
     "fold_indices fold_seed": lambda v: fold_indices(6, 2, v),
     "kfold_cv fold_seed": lambda v: kfold_cv(DS, [(1.0, 1.0, 1.0)], CFG, k=2, fold_seed=v),
+    "uniforms seed": lambda v: rng.uniforms(v, 0, 3),
+    "normals seed": lambda v: rng.normals(v, 0, 3),
+    "shuffled_indices seed": lambda v: rng.shuffled_indices(5, 2, v, 0),
+}
+
+# Each takes a stream id or a count, which may be 0.
+STREAM_AND_COUNT_ENTRY_POINTS = {
+    "uniforms stream": lambda v: rng.uniforms(0, v, 3),
+    "normals stream": lambda v: rng.normals(0, v, 3),
+    "shuffled_indices stream": lambda v: rng.shuffled_indices(5, 2, 0, v),
+    "uniforms n": lambda v: rng.uniforms(0, 0, v),
+    "normals n": lambda v: rng.normals(0, 0, v),
+    "shuffled_indices n": lambda v: rng.shuffled_indices(v, 0, 0, 0),
+    "shuffled_indices k": lambda v: rng.shuffled_indices(5, v, 0, 0),
 }
 
 
@@ -86,6 +102,19 @@ def test_a_bad_seed_raises(entry, value):
 @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
 def test_an_integer_seed_is_accepted(entry, value):
     SEED_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1], ids=repr)
+@pytest.mark.parametrize("entry", STREAM_AND_COUNT_ENTRY_POINTS)
+def test_a_bad_stream_or_count_raises(entry, value):
+    with pytest.raises(ValueError, match="must be an integer >= 0, got "):
+        STREAM_AND_COUNT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3)], ids=repr)
+@pytest.mark.parametrize("entry", STREAM_AND_COUNT_ENTRY_POINTS)
+def test_a_stream_or_count_from_zero_is_accepted(entry, value):
+    STREAM_AND_COUNT_ENTRY_POINTS[entry](value)
 
 
 def test_kfold_cv_records_the_seed_it_used():

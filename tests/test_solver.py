@@ -530,6 +530,73 @@ class TestThreeCopySplitting:
         assert trace.certificate.exit == "converged" and len(trace) <= 400
 
 
+def _signed_permutation(n, r):
+    return np.eye(n)[r.permutation(n)] * r.choice([-1.0, 1.0], size=n)
+
+
+class TestExactOptimum:
+    """The solver against a closed-form optimum: centres ``c = P D Q``.
+
+    ``P`` and ``Q`` are random signed permutation matrices and ``D`` is
+    rectangular diagonal, with diagonal ``d``.  Let ``mu = min(lam, tau)``.
+    The unique optimum is ``w* = P soft(D, mu) Q``, with objective
+    ``f* = 2 sum_i max(|d_i| - mu, 0)``.  Proof: signed permutations keep
+    the l1, nuclear, l-infinity and spectral norms, so take ``P = Q = I``.
+    For any feasible ``w``, ``|w_ii - d_i|`` is at most ``||w - c||_inf <= lam``
+    and at most ``|e_i' (w - c) e_i| <= ||w - c||_spec <= tau``, so
+    ``|w_ii| >= max(|d_i| - mu, 0)``.  Both ``||w||_1`` and ``||w||_*`` are at
+    least ``sum_i |w_ii| = <S, w>``, ``S`` the diagonal signs of ``w`` (the
+    second since ``||S||_spec <= 1``), so the objective is at least ``f*``.
+    ``soft(D, mu)`` is feasible, since ``D - soft(D, mu)`` is diagonal with
+    entries of size at most ``mu``, and it reaches ``f*``.  Equality in
+    ``||w||_1 >= sum_i |w_ii|`` forces every off-diagonal entry to 0, and then
+    each ``w_ii`` is the point of ``[d_i - mu, d_i + mu]`` nearest 0: the
+    optimum is unique.  Here ``d`` runs from 3 down by factors of 0.6, so
+    ``|d_1| > mu`` makes 0 infeasible, and on the 6 x 9 shapes some ``d_i``
+    fall below ``mu`` and are answered with 0.  The tall and 1-column shapes
+    run the spectral kernel on the transpose of a wide matrix.
+    """
+
+    SHAPES = {"wide": (6, 9), "tall": (9, 6), "row": (1, 7), "column": (7, 1)}
+    RADII = {"lam<tau": (0.5, 1.0), "lam>tau": (1.0, 0.5), "lam=tau": (0.7, 0.7),
+             "lam=inf": (math.inf, 0.8), "tau=inf": (0.8, math.inf)}
+
+    def solve(self, shape, radii, k, tol):
+        """``(w, w*, f*, objective, gap)``, solved scaled by ``2**k`` and scaled back."""
+        m, n = self.SHAPES[shape]
+        r = np.random.default_rng(m * 10 + n)
+        d = 3.0 * 0.6 ** np.arange(min(m, n))  # 3 down to 0.23
+        mu = min(self.RADII[radii])
+        p, q = _signed_permutation(m, r), _signed_permutation(n, r)
+        diag = np.zeros((m, n))
+        np.fill_diagonal(diag, d)
+        w_star = p @ (np.sign(diag) * np.maximum(np.abs(diag) - mu, 0.0)) @ q
+        f_star = 2.0 * float(np.sum(np.maximum(d - mu, 0.0)))
+        lam, tau = (math.ldexp(v, k) for v in self.RADII[radii])
+        cfg = SolverConfig(lam=lam, tau=tau, tol=tol, max_iter=20000)
+        w, trace = solve_subproblem(1, np.ldexp(p @ diag @ q, k), (m, n), cfg)
+        cert = trace.certificate
+        assert cert.exit == "converged"
+        objective, gap = (math.ldexp(v, -k) for v in (cert.objective, cert.gap))
+        return np.ldexp(w, -k), w_star, f_star, objective, gap
+
+    # 1e-9 reaches 1.1e-9 at worst, and the default 1e-3 reaches 1.0e-3.
+    @pytest.mark.parametrize("k", [0, 300, -300, 700, -700])
+    @pytest.mark.parametrize("radii", RADII)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tight_solve_reaches_the_optimum(self, shape, radii, k):
+        w, w_star, f_star, objective, gap = self.solve(shape, radii, k, tol=1e-9)
+        assert np.linalg.norm(w - w_star) <= 1e-8 * np.linalg.norm(w_star)
+        # Every dual value lies below f*, so the objective is within its own gap above it.
+        assert -1e-8 * f_star <= objective - f_star <= gap
+
+    @pytest.mark.parametrize("radii", RADII)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_default_tol_is_within_a_percent(self, shape, radii):
+        w, w_star, *_ = self.solve(shape, radii, 0, tol=SolverConfig(1.0, 1.0).tol)
+        assert np.linalg.norm(w - w_star) <= 1e-2 * np.linalg.norm(w_star)
+
+
 class TestFit:
     def _dataset(self, seed=1, dims=(6, 5, 4), n=40):
         ds, _ = generate(SimSpec(dims=dims, n=n, sparsity_pct=80.0, noise_alpha=0.1, seed=seed))

@@ -110,11 +110,12 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-def _integer(name, value, low):
-    """``value`` as an int if it is an integer, not a bool, >= ``low`` (None: no bound)."""
+def _integer(name, value, low, high=None):
+    """``value`` as an int if it is an integer, not a bool, in ``[low, high]`` (None: no bound)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
-            low is not None and value < low):
+            low is not None and value < low) or (high is not None and value > high):
         bound = "" if low is None else f" >= {low}"
+        bound += "" if high is None else f" and <= {high}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 

@@ -13,17 +13,25 @@ every other module checks sizes through it.  The package is layered:
 ``data.py`` imports only ``tensor`` from the package, so the data container
 holds no estimator code: the solver keeps its per-epsilon backbones in a
 private dict of each dataset, but ``data.py`` never makes one.  No module
-imports ``cli``, and a fresh ``import sltr`` leaves :mod:`scipy.linalg`
-unloaded, since only the SVD's last fallback needs it.
+imports ``cli``.  A fresh ``import sltr`` or ``import sltr.cli`` loads numpy and
+no scipy module: each scipy user imports it at its call (the SVD's last
+fallback :mod:`scipy.linalg`, the AUC's :mod:`scipy.stats`, the normal draws'
+:mod:`scipy.special`).  So ``sltr fit``, ``predict`` and ``cv`` on a dataset file
+never load :mod:`scipy.special`, and ``sltr simulate``, which draws normals, does.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from sltr import io as sio
+from sltr.simulate import SimSpec, generate
+from sltr.tensor import Tensor
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sltr"
 
@@ -194,10 +202,38 @@ def test_package_import_checker_finds_every_form():
         "io", "cli", "linalg", "tensor", "solver", "rng", "prox", "simulate"}
 
 
-def test_importing_the_package_leaves_scipy_linalg_unloaded():
+def last_line_of_fresh_run(code: str, cwd=None) -> str:
+    """The last line ``code`` prints in a fresh interpreter that imports the package from source."""
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, sltr; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy_module():
+    code = ("import sys, sltr, sltr.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert last_line_of_fresh_run(code) == "[]"
+
+
+def test_only_simulate_loads_scipy_special(tmp_path):
+    ds = generate(SimSpec((3, 2), n=8, seed=0))[0]
+    sio.write_dataset(tmp_path / "d.ds", ds)
+    sio.write_tensor(tmp_path / "w.tn", Tensor.zeros(ds.dims))
+    (tmp_path / "grid.tsv").write_text("1.0\t1.0\t1.0\n")
+    commands = [
+        ["fit", "--data", "d.ds", "--lambda", "1", "--tau", "1", "--out", "fit.tn"],
+        ["predict", "--model", "w.tn", "--data", "d.ds", "--out", "pred.txt"],
+        ["cv", "--data", "d.ds", "--grid-file", "grid.tsv", "--folds", "2"],
+        ["simulate", "--dims", "3x2", "--n", "8", "--out", "sim"],
+    ]
+    code = ("import sys\n"
+            "from sltr import cli\n"
+            "loaded = {}\n"
+            f"for argv in {json.dumps(commands)}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded[argv[0]] = 'scipy.special' in sys.modules\n"
+            "print(loaded)")
+    assert last_line_of_fresh_run(code, cwd=tmp_path) == str(
+        {"fit": False, "predict": False, "cv": False, "simulate": True})

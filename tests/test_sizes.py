@@ -7,7 +7,8 @@ clamped or read as 1; a Python or numpy integer in bounds is accepted.  An
 empty ``dims`` raises at every entry point that takes one.  A seed is any
 integer, negative too, by the same rule: a float, a ``bool`` or a string
 raises rather than being read as an integer.  A random stream id and a count
-of draws or indices may be 0, and follow the rule with that bound.
+of draws or indices may be 0, and follow the rule with that bound.  A stream id
+is one Philox key word, so ``2**64 - 1`` is the last one and ``2**64`` raises.
 """
 
 import numpy as np
@@ -76,6 +77,8 @@ STREAM_AND_COUNT_ENTRY_POINTS = {
     "shuffled_indices n": lambda v: rng.shuffled_indices(v, 0, 0, 0),
     "shuffled_indices k": lambda v: rng.shuffled_indices(5, v, 0, 0),
 }
+STREAM_ENTRY_POINTS = [name for name in STREAM_AND_COUNT_ENTRY_POINTS if name.endswith(" stream")]
+LAST_STREAM = 2**64 - 1
 
 
 @pytest.mark.parametrize("value", [2.5, True, 0, -1], ids=repr)
@@ -107,7 +110,8 @@ def test_an_integer_seed_is_accepted(entry, value):
 @pytest.mark.parametrize("value", [2.5, True, -1], ids=repr)
 @pytest.mark.parametrize("entry", STREAM_AND_COUNT_ENTRY_POINTS)
 def test_a_bad_stream_or_count_raises(entry, value):
-    with pytest.raises(ValueError, match="must be an integer >= 0, got "):
+    high = f" and <= {LAST_STREAM}" if entry in STREAM_ENTRY_POINTS else ""
+    with pytest.raises(ValueError, match=f"must be an integer >= 0{high}, got "):
         STREAM_AND_COUNT_ENTRY_POINTS[entry](value)
 
 
@@ -115,6 +119,18 @@ def test_a_bad_stream_or_count_raises(entry, value):
 @pytest.mark.parametrize("entry", STREAM_AND_COUNT_ENTRY_POINTS)
 def test_a_stream_or_count_from_zero_is_accepted(entry, value):
     STREAM_AND_COUNT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", STREAM_ENTRY_POINTS)
+def test_a_stream_past_one_key_word_raises(entry):
+    with pytest.raises(ValueError, match=f"stream must be an integer >= 0 and <= {LAST_STREAM}, "
+                                         f"got {LAST_STREAM + 1}"):
+        STREAM_AND_COUNT_ENTRY_POINTS[entry](LAST_STREAM + 1)
+
+
+@pytest.mark.parametrize("entry", STREAM_ENTRY_POINTS)
+def test_the_last_stream_is_accepted(entry):
+    STREAM_AND_COUNT_ENTRY_POINTS[entry](LAST_STREAM)
 
 
 def test_kfold_cv_records_the_seed_it_used():

@@ -13,7 +13,7 @@ from .evaluation import (
     unfolding_ranks,
 )
 from .exceptions import DivergenceError, FormatError, NumericalError, SltrError
-from .linalg import Backbone, SvdFactors, backbone, spectral_norm, svd, tensor_nuclear_norm
+from .linalg import Backbone, SvdFactors, backbone, spectral_norm, svd
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
 from .simulate import SimSpec, generate
 from .solver import (
@@ -65,7 +65,6 @@ __all__ = [
     "solve_subproblem",
     "spectral_norm",
     "svd",
-    "tensor_nuclear_norm",
     "theorem_bound",
     "three_mode_bound",
     "unfold",

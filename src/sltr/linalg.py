@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .tensor import Tensor, _dims, unfold
+from .tensor import Tensor, _dims
 
 __all__ = [
     "SvdFactors",
@@ -33,7 +33,6 @@ __all__ = [
     "singular_values",
     "spectral_norm",
     "nuclear_norm",
-    "tensor_nuclear_norm",
     "backbone",
 ]
 
@@ -109,18 +108,6 @@ def spectral_norm(a: np.ndarray) -> float:
 def nuclear_norm(a: np.ndarray) -> float:
     """Sum of the LAPACK singular values of a matrix."""
     return float(np.sum(singular_values(a)))
-
-
-def tensor_nuclear_norm(t: Tensor) -> float:
-    """Average of the nuclear norms of all mode unfoldings.
-
-    Requires order >= 2; for a 1-D tensor the single unfolding is a row
-    vector whose nuclear norm silently degenerates to the Euclidean norm,
-    so that case is rejected.
-    """
-    if t.order < 2:
-        raise ValueError("tensor nuclear norm requires an order >= 2 tensor")
-    return math.fsum(nuclear_norm(unfold(t, m)) for m in range(1, t.order + 1)) / t.order
 
 
 def backbone(x: np.ndarray, y: np.ndarray, epsilon: float, dims) -> Backbone:

@@ -24,11 +24,15 @@ increases, and it is zero exactly at a fixed point, whose consensus iterate
 is a minimiser.  A sweep whose residual is at most ``tol`` times ``||y||``
 (Frobenius norms over all three copies) ends the solve.  Watching the
 consensus iterate alone is not enough: it can stand still while the copies
-are far from a fixed point.  A centre for which 0 lies in both balls is
-answered with 0, the unique minimiser, without a sweep.  Every centre is
-solved at unit scale, its largest entry brought into [1, 2) by a power of
-two, radii with it, and the answer scaled back, so no norm of a huge or
-tiny centre overflows or underflows.
+are far from a fixed point.
+
+The solve has three parts.  ``_unit_problem`` brings the centre's largest
+entry into [1, 2) by a power of two, radii with it, so no norm of a huge or
+tiny centre overflows or underflows, tests for the answer 0 and takes the
+step; ``_sweep`` runs one sweep; ``_certificate`` certifies and scales back.
+Other solve loops keep the sweep and replace one thing: the stopping rule
+(certify in mid-run), the step (adapt it), the first ``y`` (warm start) or
+the loop (batch, extrapolate).
 
 The prox step of the norm terms changes how fast the iterates reach a fixed
 point, not which one, so it is not a setting: it is taken from the problem,
@@ -235,6 +239,15 @@ def default_thread_count() -> int:
     return 1
 
 
+@dataclass(frozen=True)
+class _UnitProblem:
+    """A mode subproblem at unit scale: the centre and radii times ``2**k``, and the step."""
+
+    ctr: ConstraintCenter
+    k: int
+    step: float
+
+
 def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     """Solve the mode-m subproblem around ``center`` by proximal splitting.
 
@@ -253,38 +266,16 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     grew.  Every centre is solved scaled by the power of two that brings its
     largest entry into [1, 2), radii with it, and ``w`` and the certificate
     are scaled back: the answer is exactly the unit-scale answer scaled, and
-    no norm overflows or underflows.  A certificate field too large for a
-    double on the way back is ``inf``.
+    a certificate field too large for a double is ``inf``.  Its parts are ``_unit_problem``,
+    ``_sweep`` and ``_certificate``; the module notes say which one each other solve loop replaces.
     """
-    shape = _unfolding_shape(_dims(dims), m)
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != shape:
-        raise ValueError(f"center must be the {shape} mode-{m} unfolding, got {center.shape}")
-    scale = _max_abs(center, "center has a non-finite entry")
-    # Norms square the entries, and the solve is exact under powers of two:
-    # run it with the largest entry in [1, 2) and scale back.  A radius that
-    # underflows there pins w to c, as the smallest positive double does, and
-    # a radius or certificate field past the largest double reads inf.
-    k = 1 - math.frexp(scale)[1]
-    with np.errstate(over="ignore"):
-        lam, tau = np.maximum(np.ldexp([cfg.lam, cfg.tau], k), math.ulp(0.0)).tolist()
-    ctr = ConstraintCenter(np.ldexp(center, k), lam, tau)
-    if math.ldexp(scale, k) <= lam and spectral_norm(ctr.c) <= tau:
-        # 0 lies in both balls, and it is the unique minimiser of ||w||_1 + ||w||_*.
-        return np.zeros_like(center), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
-    # The centre's rms entry, capped by the radii and floored; see the module notes.
-    rms = float(np.linalg.norm(ctr.c)) / math.sqrt(ctr.c.size)
-    step = max(min(rms, max(lam, tau / math.sqrt(max(ctr.c.shape)))), 2.0**-52)
-    ops = (
-        lambda w: project_linf_ball(prox_l1(w, step), ctr),
-        lambda w: prox_nuclear(w, step),
-        lambda w: project_spectral_ball(w, ctr),
-    )
-    y = np.stack([ctr.c] * 3)
+    problem = _unit_problem(m, center, dims, cfg)
+    if problem is None:
+        return np.zeros_like(center, float), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
+    y = np.stack([problem.ctr.c] * 3)
     residuals = []
     for t in range(1, cfg.max_iter + 1):
-        p = np.stack([op(v) for op, v in zip(ops, y)])
-        d = (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p  # y moves by rho * d
+        p, d = _sweep(problem, y)  # y moves by rho * d
         rel = _RHO * float(np.linalg.norm(d)) / float(np.linalg.norm(y))
         if not math.isfinite(rel):
             raise DivergenceError(f"mode {m}: non-finite residual at iteration {t}", residuals)
@@ -295,7 +286,41 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
         if rel <= cfg.tol or t == cfg.max_iter:
             break
         y += _RHO * d
-    z = (y - p) / step  # z_i lies in the subdifferential of term i at p_i
+    w, certificate = _certificate(problem, y, p, d, "converged" if rel <= cfg.tol else "max_iter")
+    return w, ModeTrace(tuple(residuals), certificate)
+
+
+def _unit_problem(m, center, dims, cfg) -> _UnitProblem | None:
+    """The checked centre at unit scale, ``k`` and the step; ``None`` if 0 lies in both balls."""
+    shape = _unfolding_shape(_dims(dims), m)
+    center = np.asarray(center, dtype=np.float64)
+    if center.shape != shape:
+        raise ValueError(f"center must be the {shape} mode-{m} unfolding, got {center.shape}")
+    scale = _max_abs(center, "center has a non-finite entry")
+    # A radius that underflows at unit scale pins w to c; one past the largest double is inf.
+    k = 1 - math.frexp(scale)[1]
+    with np.errstate(over="ignore"):
+        lam, tau = np.maximum(np.ldexp([cfg.lam, cfg.tau], k), math.ulp(0.0)).tolist()
+    ctr = ConstraintCenter(np.ldexp(center, k), lam, tau)
+    if math.ldexp(scale, k) <= lam and spectral_norm(ctr.c) <= tau:
+        return None
+    rms = float(np.linalg.norm(ctr.c)) / math.sqrt(ctr.c.size)
+    return _UnitProblem(ctr, k, max(min(rms, max(lam, tau / math.sqrt(max(shape)))), 2.0**-52))
+
+
+def _sweep(problem: _UnitProblem, y: np.ndarray):
+    """One sweep from the copies ``y``: the prox points ``p`` and the move ``d`` of ``y``."""
+    # The operators are module globals, looked up per call: a tracer replaces them there.
+    p = np.stack([project_linf_ball(prox_l1(y[0], problem.step), problem.ctr),
+                  prox_nuclear(y[1], problem.step), project_spectral_ball(y[2], problem.ctr)])
+    return p, (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p
+
+
+def _certificate(problem: _UnitProblem, y, p, d, exit: str):
+    """``(x, certificate)`` after the last sweep ``(p, d)``: ``y`` moves, ``x`` is scaled back."""
+    # x keeps the memory order of y: np.sum's last bit depends on the order it reads x in.
+    ctr, k = problem.ctr, problem.k
+    z = (y - p) / problem.step  # z_i lies in the subdifferential of term i at p_i
     y += _RHO * d
     x = y.sum(axis=0) / 3  # the consensus iterate: the mean of the copies
     l1, nuclear, linf_gap, spec_gap = objective_and_gaps(x, ctr)
@@ -303,8 +328,7 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     gap = objective - _dual_value(z, ctr)
     with np.errstate(over="ignore"):
         fields = np.ldexp([objective, max(linf_gap, 0.0), max(spec_gap, 0.0), gap], -k).tolist()
-    certificate = Certificate(*fields, "converged" if rel <= cfg.tol else "max_iter")
-    return np.ldexp(x, -k), ModeTrace(tuple(residuals), certificate)
+    return np.ldexp(x, -k), Certificate(*fields, exit)
 
 
 def _dual_value(z, ctr):

@@ -59,9 +59,12 @@ def test_one_thread_fit_runs():
 
 
 def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
-    # The merged l1 term calls both names once a sweep, so perfbench's
-    # prox.l1_calls and prox.linf_calls each still count the sweeps.
-    calls = {"prox_l1": 0, "project_linf_ball": 0}
+    # The sweep looks each operator up as a module global at every call, so
+    # perfbench's prox.*_calls each count the sweeps, and the exit certificate
+    # calls nuclear_norm three times: once for the objective, twice for the
+    # dual value.  An operator bound before the loop would escape the tracer.
+    sweep_ops = ("prox_l1", "project_linf_ball", "prox_nuclear", "project_spectral_ball")
+    calls = dict.fromkeys(sweep_ops + ("nuclear_norm",), 0)
 
     def counting(name):
         original = getattr(solver, name)
@@ -76,7 +79,7 @@ def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
     center = np.random.default_rng(2).normal(size=(5, 8))
     _, trace = solver.solve_subproblem(1, center, (5, 8), SolverConfig(lam=0.3, tau=1.0))
     assert len(trace) > 0 and trace.certificate.exit == "converged"
-    assert calls == {"prox_l1": len(trace), "project_linf_ball": len(trace)}
+    assert calls == {**dict.fromkeys(sweep_ops, len(trace)), "nuclear_norm": 3}
 
 
 def test_traced_runs_match_plain_runs_and_count_every_sweep(spans):

@@ -12,9 +12,7 @@ from sltr.linalg import (
     singular_values,
     spectral_norm,
     svd,
-    tensor_nuclear_norm,
 )
-from sltr.tensor import Tensor, unfold
 
 from oracles import same_bits
 
@@ -206,41 +204,6 @@ class TestSpectralNuclear:
     def test_spectral_matches_svd_oracle(self):
         a = np.random.default_rng(2).normal(size=(6, 4))
         assert spectral_norm(a) == pytest.approx(_gram_singular_values(a)[0], rel=1e-10)
-
-    def test_rank_one_unit_tensor(self):
-        u = np.array([3.0, 4.0]) / 5.0
-        v = np.array([1.0, 2.0, 2.0]) / 3.0
-        t = Tensor.from_array(np.outer(u, v))
-        assert tensor_nuclear_norm(t) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_tensor(self):
-        assert tensor_nuclear_norm(Tensor.zeros((2, 3, 2))) == 0.0
-
-    def test_order_one_rejected(self):
-        with pytest.raises(ValueError):
-            tensor_nuclear_norm(Tensor((3,), [1.0, 2.0, 3.0]))
-
-    def test_matches_per_mode_oracle(self):
-        r = np.random.default_rng(3)
-        t = Tensor((3, 4, 2), r.normal(size=24))
-        expected = np.mean(
-            [np.sum(_gram_singular_values(unfold(t, m))) for m in (1, 2, 3)]
-        )
-        assert tensor_nuclear_norm(t) == pytest.approx(expected, rel=1e-10)
-
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 2 ** 31))
-    def test_norm_axioms(self, seed):
-        r = np.random.default_rng(seed)
-        dims = (3, 2, 4)
-        a = Tensor(dims, r.normal(size=24))
-        b = Tensor(dims, r.normal(size=24))
-        alpha = float(r.normal())
-        scaled = Tensor(dims, alpha * a.data)
-        both = Tensor(dims, a.data + b.data)
-        na, nb = tensor_nuclear_norm(a), tensor_nuclear_norm(b)
-        assert tensor_nuclear_norm(scaled) == pytest.approx(abs(alpha) * na, rel=1e-10)
-        assert tensor_nuclear_norm(both) <= na + nb + 1e-10
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
     def test_nuclear_matches_lapack_sum(self, name):

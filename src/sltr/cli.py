@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``fit``, ``predict``, ``cv``, ``eval``.
-All report tables are tab-separated with a header row; ``fit`` prints two,
-the residual of every sweep and then one certificate row per mode, with an
+Text goes in and out as one tab-separated table format.  Blank lines are
+skipped; the first other line is a header when none of its fields parses as
+a number (so a typo in a first data row raises), and every other row is
+exactly the table's width of numbers: three for ``cv --grid-file`` (lambda,
+tau, epsilon), one for ``eval``'s predictions and labels.  Output tables
+have one header row and write floats by ``repr``; ``fit`` prints two, the
+residual of every sweep and then one certificate row per mode, with an
 empty line between them.  The second table's ``seconds`` column holds wall
 times, and its first row, ``backbone``, has the backbone's time alone.
 Binary artifacts use the formats in :mod:`sltr.io`.  Exit code 0 on success,
@@ -25,8 +30,8 @@ from .solver import SolverConfig, fit, predict
 
 __all__ = ["main"]
 
-# The solver flags take their defaults from SolverConfig, so the two never disagree.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+# The solver and simulate flags take their defaults from SolverConfig and SimSpec.
+_DEFAULTS = {f.name: f.default for cls in (SolverConfig, SimSpec) for f in dataclasses.fields(cls)}
 
 
 def main(argv=None) -> int:
@@ -43,18 +48,41 @@ def main(argv=None) -> int:
 
 
 def _parse_dims(text: str):
-    parts = text.replace(",", "x").split("x")
-    try:
-        dims = tuple(int(p) for p in parts if p)
+    try:  # an empty field, as in "20xx5", fails int(); SimSpec checks the sizes
+        return tuple(int(p) for p in text.replace(",", "x").split("x"))
     except ValueError:
-        raise ValueError(f"cannot parse dims {text!r}; use e.g. 20x20x5") from None
-    return dims  # SimSpec checks the sizes
+        raise argparse.ArgumentTypeError(f"cannot parse dims {text!r}; use e.g. 20x20x5") from None
 
 
-def _print_table(header, rows):
-    print("\t".join(header))
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _read_table(path, width, what):
+    """The ``rows x width`` numbers of the table at ``path``, its header skipped."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    rows = [[_number(f) for f in ln.split("\t")] for ln in lines]
+    if rows and all(v is None for v in rows[0]):
+        del lines[0], rows[0]  # the header
+    if not rows:
+        raise ValueError(f"no {what} rows in {path}")
+    for ln, row in zip(lines, rows):
+        if len(row) != width:
+            raise ValueError(f"{what} row needs {width} column{'s' * (width != 1)}: {ln!r}")
+        if None in row:
+            raise ValueError(f"non-numeric {what} row in {path}: {ln!r}")
+    return np.array(rows)
+
+
+def _write_table(header, rows, fh=None):
+    """Write a header row and then ``rows`` to ``fh`` (stdout by default), floats by ``repr``."""
+    print("\t".join(header), file=fh)
     for row in rows:
-        print("\t".join(repr(c) if isinstance(c, float) else str(c) for c in row))
+        print("\t".join(repr(c) if isinstance(c, float) else str(c) for c in row), file=fh)
 
 
 def _solver_config(args, lam, tau, epsilon) -> SolverConfig:
@@ -86,10 +114,11 @@ def _build_parser():
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--dims", required=True, type=_parse_dims, help="e.g. 20x20x5")
     p.add_argument("--n", required=True, type=int, help="sample count")
-    p.add_argument("--sparsity", type=float, default=80.0, help="percent of zeroed coefficients")
-    p.add_argument("--alpha", type=float, default=0.1, help="noise level")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--low-rank", type=int, default=None,
+    p.add_argument("--sparsity", type=float, default=_DEFAULTS["sparsity_pct"],
+                   help="percent of zeroed coefficients")
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["noise_alpha"], help="noise level")
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--low-rank", type=int, default=_DEFAULTS["low_rank"],
                    help="build the coefficient from this many rank-1 terms")
     p.add_argument("--out", required=True,
                    help="output prefix; writes <out>.ds and <out>.wstar.tn")
@@ -133,7 +162,7 @@ def _cmd_simulate(args) -> int:
     w_path = f"{args.out}.wstar.tn"
     sio.write_dataset(ds_path, ds)
     sio.write_tensor(w_path, w_star)
-    _print_table(("artifact", "path"), [("dataset", ds_path), ("coefficient", w_path)])
+    _write_table(("artifact", "path"), [("dataset", ds_path), ("coefficient", w_path)])
     return 0
 
 
@@ -149,9 +178,9 @@ def _cmd_fit(args) -> int:
         c = trace.certificate
         certificates.append((m, len(trace), c.objective, c.linf_violation,
                              c.spectral_violation, c.gap, c.exit, result.seconds[m]))
-    _print_table(("mode", "iteration", "residual"), sweeps)
+    _write_table(("mode", "iteration", "residual"), sweeps)
     print()
-    _print_table(("mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap",
+    _write_table(("mode", "sweeps", "objective", "linf_violation", "spectral_violation", "gap",
                   "exit", "seconds"), certificates)
     return 0
 
@@ -163,15 +192,13 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"dims mismatch: {w.dims} vs {ds.dims}")
     yhat = predict(w, ds.x)
     with open(args.out, "w") as fh:
-        fh.write("y_hat\n")
-        for v in yhat.tolist():
-            fh.write(f"{v!r}\n")
+        _write_table(("y_hat",), ((v,) for v in yhat.tolist()), fh)
     return 0
 
 
 def _cmd_cv(args) -> int:
     ds = sio.read_dataset(args.data)
-    grid = _read_grid(args.grid_file) if args.grid_file else default_grid()
+    grid = _read_table(args.grid_file, 3, "grid") if args.grid_file else default_grid()
     template = _solver_config(args, lam=1.0, tau=1.0, epsilon=1.0)
     report = kfold_cv(ds, grid, template, k=args.folds, fold_seed=args.seed,
                       threads=args.threads)
@@ -179,25 +206,10 @@ def _cmd_cv(args) -> int:
         (lam, tau, eps, cell, int((lam, tau, eps) == report.selected))
         for (lam, tau, eps), cell in zip(report.grid, report.per_cell)
     ]
-    _print_table(("lambda", "tau", "epsilon", "mean_mse", "selected"), rows)
+    _write_table(("lambda", "tau", "epsilon", "mean_mse", "selected"), rows)
     for cell, reason in report.failures:
         print(f"warning: cell {cell} failed: {reason}", file=sys.stderr)
     return 0
-
-
-def _read_grid(path):
-    cells = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"grid file {path} is empty")
-    start = 1 if lines[0].lower().split("\t")[:1] == ["lambda"] else 0
-    for ln in lines[start:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"grid row needs 3 columns (lambda, tau, epsilon): {ln!r}")
-        cells.append(tuple(float(p) for p in parts))
-    return cells
 
 
 def _sniff(path):
@@ -216,21 +228,7 @@ def _read_values(path):
         return sio.read_dataset(path).y
     if kind == "tensor":
         raise ValueError(f"{path} is a tensor file; expected predictions or a dataset")
-    vals = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            try:
-                vals.append(float(ln))
-            except ValueError:
-                if vals:
-                    raise ValueError(f"non-numeric line in {path}: {ln!r}") from None
-                # header line
-    if not vals:
-        raise ValueError(f"no numeric values in {path}")
-    return np.array(vals)
+    return _read_table(path, 1, "value").ravel()
 
 
 def _cmd_eval(args) -> int:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from sltr import evaluation
 from sltr import io as sio
 from sltr.cli import _build_parser, main
 from sltr.data import Dataset
-from sltr.evaluation import auc, kfold_cv
+from sltr.evaluation import CvReport, auc, default_grid, kfold_cv
 from sltr.exceptions import DivergenceError
 from sltr.simulate import SimSpec, generate
 from sltr.solver import SolverConfig, fit
@@ -251,3 +252,102 @@ def test_eval_auc_matches_the_api(tmp_path, capsys):
     truth.write_text("label\n" + "".join(f"{v}\n" for v in labels))
     out = run(capsys, "eval", "--pred", pred, "--truth", truth, "--metric", "auc")
     assert out == f"{auc(scores, labels)!r}\n"
+
+
+@pytest.mark.parametrize("dims", ["20xx5", "20,,5", "x20", "20x", "x"])
+def test_dims_with_an_empty_field_are_a_usage_error(dims, tmp_path, capsys):
+    assert main(["simulate", "--dims", dims, "--n", "1", "--out", str(tmp_path / "sim")]) == 2
+    assert f"cannot parse dims {dims!r}; use e.g. 20x20x5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def subcommand_defaults(command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.default for a in sub.choices[command]._actions}
+
+
+def test_flag_defaults_are_the_api_defaults():
+    # A default changed in SimSpec, SolverConfig, kfold_cv or fit reaches the flags.
+    simulate, fit_flags, cv = (subcommand_defaults(c) for c in ("simulate", "fit", "cv"))
+    spec = {f.name: f.default for f in dataclasses.fields(SimSpec)
+            if f.default is not dataclasses.MISSING}
+    assert spec == {"sparsity_pct": simulate["sparsity"], "noise_alpha": simulate["alpha"],
+                    "seed": simulate["seed"], "low_rank": simulate["low_rank"]}
+    for f in dataclasses.fields(SolverConfig):
+        if f.default is not dataclasses.MISSING:
+            assert fit_flags[f.name] == cv.get(f.name, f.default) == f.default, f.name
+    cv_api, fit_api = (inspect.signature(func).parameters for func in (kfold_cv, fit))
+    assert (cv["folds"], cv["seed"], cv["threads"], fit_flags["threads"]) == (
+        cv_api["k"].default, cv_api["fold_seed"].default, cv_api["threads"].default,
+        fit_api["threads"].default)
+
+
+def test_cv_without_a_grid_file_searches_the_default_grid(data, capsys, monkeypatch):
+    searched = []
+
+    def fake_kfold_cv(ds, grid, cfg, k, fold_seed, threads):
+        searched.append(grid)
+        return CvReport(grid=tuple(grid), per_cell=tuple(map(float, range(len(grid)))),
+                        selected=grid[0], fold_seed=fold_seed)
+
+    monkeypatch.setattr("sltr.cli.kfold_cv", fake_kfold_cv)
+    header, *rows = run(capsys, "cv", "--data", data).splitlines()
+    assert searched == [default_grid()]
+    assert len(rows) == len(default_grid()) and rows[0].endswith("\t0.0\t1")
+
+
+def test_cv_grid_header_is_any_all_text_line(data, tmp_path, capsys):
+    cells = "1.0\t1.0\t1.0\n\n0.1\t0.1\t1.0\n"
+    outs = []
+    for header in ("lambda\ttau\tepsilon\n", "l\tt\te\n", ""):
+        grid_file = tmp_path / "grid.tsv"
+        grid_file.write_text(header + cells)
+        outs.append(run(capsys, "cv", "--data", data, "--grid-file", grid_file, "--folds", 2,
+                        "--max-iter", 5))
+    assert outs[0] == outs[1] == outs[2] and len(outs[0].splitlines()) == 3
+
+
+GRID_ERRORS = {
+    "empty": ("", "no grid rows in {path}"),
+    "blank lines and a header alone": ("\nlambda\ttau\tepsilon\n\n", "no grid rows in {path}"),
+    "a typo in the first row": ("1.0\t1.O\t1.0\n",
+                                "non-numeric grid row in {path}: '1.0\\t1.O\\t1.0'"),
+    "a second header": ("lambda\ttau\tepsilon\nl\tt\te\n1.0\t1.0\t1.0\n",
+                        "non-numeric grid row in {path}: 'l\\tt\\te'"),
+}
+
+
+@pytest.mark.parametrize("text,message", GRID_ERRORS.values(), ids=GRID_ERRORS)
+def test_cv_rejects_a_bad_grid_file(text, message, data, tmp_path, capsys):
+    grid_file = tmp_path / "grid.tsv"
+    grid_file.write_text(text)
+    assert main(["cv", "--data", str(data), "--grid-file", str(grid_file)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=grid_file)}\n"
+
+
+VALUES_ERRORS = {
+    "a non-numeric row after data": ("y_hat\n1.0\nabc\n",
+                                     "non-numeric value row in {path}: 'abc'"),
+    "a second header": ("y_hat\nscore\n1.0\n", "non-numeric value row in {path}: 'score'"),
+    "no numeric rows": ("y_hat\n\n", "no value rows in {path}"),
+    "empty": ("", "no value rows in {path}"),
+    "two columns": ("y_hat\n1.0\t2.0\n", "value row needs 1 column: '1.0\\t2.0'"),
+}
+
+
+@pytest.mark.parametrize("text,message", VALUES_ERRORS.values(), ids=VALUES_ERRORS)
+def test_eval_rejects_a_bad_values_file(text, message, data, tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    pred.write_text(text)
+    assert main(["eval", "--pred", str(pred), "--truth", str(data), "--metric", "mse"]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=pred)}\n"
+
+
+def test_eval_rejects_the_wrong_kind_of_file(data, tmp_path, capsys):
+    model = tmp_path / "w.tn"
+    sio.write_tensor(model, Tensor.zeros((4, 3, 2)))
+    assert main(["eval", "--pred", str(model), "--truth", str(data), "--metric", "mse"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model} is a tensor file; expected predictions or a dataset\n")
+    assert main(["eval", "--pred", str(model), "--truth", str(data), "--metric", "ce"]) == 1
+    assert capsys.readouterr().err == "error: metric ce compares two tensor files\n"

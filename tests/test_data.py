@@ -18,6 +18,22 @@ class TestConstruction:
         x[...] = -1.0
         np.testing.assert_array_equal(ds.x, np.arange(12.0).reshape(3, 4))
 
+    @pytest.mark.parametrize("x,y,message", [
+        (np.zeros((3, 5)), np.zeros(3), r"x must be N x 4, got \(3, 5\)"),
+        (np.zeros(4), np.zeros(1), r"x must be N x 4, got \(4,\)"),
+        (np.zeros((3, 4)), np.zeros(2), "3 samples but 2 responses"),
+    ], ids=["width", "1-D x", "responses"])
+    def test_shapes_that_disagree_raise(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset((2, 2), x, y)
+
+    @pytest.mark.parametrize("name", ["dims", "x", "y", "n", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        ds = small_dataset()
+        with pytest.raises(AttributeError, match="Dataset is immutable"):
+            setattr(ds, name, None)
+        assert ds.dims == (2, 2) and ds.n == 3
+
 
 class TestSample:
     def test_sample_is_a_read_only_view_of_its_row(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sltr import evaluation
 from sltr.evaluation import (
     auc,
+    coefficient_error,
     fold_indices,
     mse,
     theorem_bound,
@@ -38,6 +39,18 @@ class TestAuc:
     def test_all_tied_is_one_half(self):
         assert auc([3.0] * 5, [0, 1, 1, 0, 1]) == 0.5
 
+    def test_a_nan_score_gives_nan(self):
+        assert math.isnan(auc([1.0, math.nan, 2.0, 0.5], [0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("scores,labels,message", [
+        ([1.0, 2.0], [0, 1, 1], "length mismatch: 2 vs 3"),
+        ([1.0, 2.0, 3.0], [0, 1, 2], r"labels must be binary 0/1, got values \[0 1 2\]"),
+        ([1.0, 2.0], [1, 1], "both classes must be present"),
+    ], ids=["length", "non-binary", "one class"])
+    def test_bad_input_raises(self, scores, labels, message):
+        with pytest.raises(ValueError, match=message):
+            auc(scores, labels)
+
 
 class TestMse:
     def test_mean_of_squared_residuals(self):
@@ -52,6 +65,19 @@ class TestMse:
         # A mean of nothing is no number: not a nan with numpy's "Mean of empty slice" warning.
         with pytest.raises(ValueError, match="mse of no values"):
             mse(y, y)
+
+
+class TestCoefficientError:
+    def test_relative_frobenius_error(self):
+        assert coefficient_error(Tensor((2,), [3.0, 4.0]), Tensor((2,), [0.0, 4.0])) == 0.75
+
+    @pytest.mark.parametrize("w_hat,w_star,message", [
+        (Tensor.zeros((2, 3)), Tensor.zeros((3, 2)), r"dims mismatch: \(2, 3\) vs \(3, 2\)"),
+        (Tensor.zeros((2,)), Tensor.zeros((2,)), "undefined for a zero reference tensor"),
+    ], ids=["dims", "zero reference"])
+    def test_bad_input_raises(self, w_hat, w_star, message):
+        with pytest.raises(ValueError, match=message):
+            coefficient_error(w_hat, w_star)
 
 
 class TestFoldIndices:
@@ -106,6 +132,11 @@ class TestKfoldCvDivergence:
         ds, grid, cfg = self._setup(monkeypatch, failing={0.1, 0.5, 2.0})
         with pytest.raises(DivergenceError, match="every grid cell diverged"):
             evaluation.kfold_cv(ds, grid, cfg, k=3)
+
+    def test_an_empty_grid_raises(self, monkeypatch):
+        ds, _, cfg = self._setup(monkeypatch, failing=set())
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            evaluation.kfold_cv(ds, [], cfg, k=3)
 
 
 class TestKfoldCvSelection:

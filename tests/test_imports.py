@@ -15,9 +15,11 @@ holds no estimator code: the solver keeps its per-epsilon backbones in a
 private dict of each dataset, but ``data.py`` never makes one.  No module
 imports ``cli``.  A fresh ``import sltr`` or ``import sltr.cli`` loads numpy and
 no scipy module: each scipy user imports it at its call (the SVD's last
-fallback :mod:`scipy.linalg`, the AUC's :mod:`scipy.stats`, the normal draws'
-:mod:`scipy.special`).  So ``sltr fit``, ``predict`` and ``cv`` on a dataset file
-never load :mod:`scipy.special`, and ``sltr simulate``, which draws normals, does.
+fallback :mod:`scipy.linalg` and the normal draws' :mod:`scipy.special`), and
+the AUC ranks with numpy alone.  So ``sltr fit``, ``predict``, ``cv`` and
+``eval --metric auc`` on files never load :mod:`scipy.special` or
+:mod:`scipy.stats`, and ``sltr simulate``, which draws normals, loads
+:mod:`scipy.special` alone.
 """
 
 import ast
@@ -222,10 +224,12 @@ def test_only_simulate_loads_scipy_special(tmp_path):
     sio.write_dataset(tmp_path / "d.ds", ds)
     sio.write_tensor(tmp_path / "w.tn", Tensor.zeros(ds.dims))
     (tmp_path / "grid.tsv").write_text("1.0\t1.0\t1.0\n")
+    (tmp_path / "labels.txt").write_text("label\n" + "".join(f"{i % 2}\n" for i in range(ds.n)))
     commands = [
         ["fit", "--data", "d.ds", "--lambda", "1", "--tau", "1", "--out", "fit.tn"],
         ["predict", "--model", "w.tn", "--data", "d.ds", "--out", "pred.txt"],
         ["cv", "--data", "d.ds", "--grid-file", "grid.tsv", "--folds", "2"],
+        ["eval", "--pred", "pred.txt", "--truth", "labels.txt", "--metric", "auc"],
         ["simulate", "--dims", "3x2", "--n", "8", "--out", "sim"],
     ]
     code = ("import sys\n"
@@ -233,7 +237,8 @@ def test_only_simulate_loads_scipy_special(tmp_path):
             "loaded = {}\n"
             f"for argv in {json.dumps(commands)}:\n"
             "    assert cli.main(argv) == 0, argv\n"
-            "    loaded[argv[0]] = 'scipy.special' in sys.modules\n"
+            "    loaded[argv[0]] = [m for m in ('scipy.special', 'scipy.stats')\n"
+            "                       if m in sys.modules]\n"
             "print(loaded)")
     assert last_line_of_fresh_run(code, cwd=tmp_path) == str(
-        {"fit": False, "predict": False, "cv": False, "simulate": True})
+        {"fit": [], "predict": [], "cv": [], "eval": [], "simulate": ["scipy.special"]})

@@ -46,3 +46,8 @@ def test_the_top_words_stay_inside_the_open_interval(monkeypatch):
     z = rng.normals(0, 0, 3)
     assert np.isfinite(z).all() and same_bits(z, ndtri(u))
     assert rng.shuffled_indices(5, 3, 0, 0).tolist() == [4, 0, 2]
+
+
+def test_more_indices_than_items_raise():
+    with pytest.raises(ValueError, match="need k <= n, got k=4, n=3"):
+        rng.shuffled_indices(3, 4, 0, rng.STREAM_MASK)

@@ -42,8 +42,10 @@ class TestConstruction:
         t = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             t.data[0] = 9.0
-        with pytest.raises(AttributeError):
-            t.dims = (4,)
+        for name in ("dims", "data", "other"):
+            with pytest.raises(AttributeError, match="Tensor is immutable"):
+                setattr(t, name, (4,))
+        assert t.dims == (2, 2)
 
     @pytest.mark.parametrize("make", [
         lambda a: Tensor((a.size,), a.reshape(-1)),

@@ -104,7 +104,8 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--threads", type=int, default=1,
                    help="mode threads, one subproblem each (default: %(default)s); more pay only "
                         "where two modes are each large; "
-                        "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one")
+                        "pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when using more than one: "
+                        "without the pin two threads run about twice as slow as one")
 
 
 def _build_parser():
@@ -225,7 +226,7 @@ def _sniff(path):
 def _read_values(path):
     kind = _sniff(path)
     if kind == "dataset":
-        return sio.read_dataset(path).y
+        return sio.read_responses(path)
     if kind == "tensor":
         raise ValueError(f"{path} is a tensor file; expected predictions or a dataset")
     return _read_table(path, 1, "value").ravel()

@@ -6,23 +6,22 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, _dims
+from .tensor import Tensor, _Frozen, _dims
 
 __all__ = ["Dataset"]
 
 
-class Dataset:
+class Dataset(_Frozen):
     """N tensor samples plus N scalar responses.
 
     Samples are stored stacked as an ``N x P`` design matrix whose row ``i``
     is the canonical vectorization of sample ``i``; :meth:`sample` views one
     row as a tensor.
 
-    There are two ways in, as for :class:`~sltr.tensor.Tensor`.  The public
-    constructor copies ``x`` and ``y``, so the caller's arrays stay its own.
-    The package's own producers (:func:`sltr.simulate.generate`,
-    :func:`sltr.io.read_dataset`, :meth:`subset`) build fresh arrays and hand
-    them over through the private ``_own`` instead, so the design matrix is
+    It has the two ways in of :class:`~sltr.tensor._Frozen`: the constructor
+    copies ``x`` and ``y``, and the package's own producers
+    (:func:`sltr.simulate.generate`, :func:`sltr.io.read_dataset`,
+    :meth:`subset`) hand fresh arrays to ``_own``, so the design matrix is
     held once.
 
     Each dataset also has a private dict, in which :func:`sltr.solver.fit`
@@ -44,17 +43,6 @@ class Dataset:
     def __init__(self, dims, x, y):
         self._adopt(dims, x, y, copy=True)
 
-    @classmethod
-    def _own(cls, dims, x, y) -> "Dataset":
-        """A dataset that keeps ``x`` and ``y`` themselves (made read-only), not copies.
-
-        For fresh float64 arrays that nothing else holds; the checks are those
-        of the public constructor.
-        """
-        ds = cls.__new__(cls)
-        ds._adopt(dims, x, y, copy=False)
-        return ds
-
     def _adopt(self, dims, x, y, copy):
         dims = _dims(dims)
         x = np.array(x, dtype=np.float64, copy=copy)
@@ -69,9 +57,6 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_backbones", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dataset is immutable")
 
     @property
     def n(self) -> int:

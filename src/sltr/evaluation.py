@@ -12,7 +12,7 @@ from .data import Dataset
 from .exceptions import DivergenceError
 from .linalg import singular_values
 from .solver import SolverConfig, fit, predict
-from .tensor import Tensor, _integer, unfold
+from .tensor import Tensor, _dims, _integer, unfold
 
 __all__ = [
     "CvReport",
@@ -151,11 +151,12 @@ def kfold_cv(ds: Dataset, grid, cfg_template: SolverConfig, k: int = 5, fold_see
 def theorem_bound(lam: float, tau: float, dims, orth_rank: int) -> float:
     """General recovery bound ``4 sqrt(2) (lam sqrt(prod dims) + tau sqrt(R))``.
 
-    ``R = orth_rank`` bounds the orthogonal rank of the true coefficient.
+    ``R = orth_rank`` bounds the orthogonal rank of the true coefficient; it
+    and ``dims`` follow the size rule of :mod:`sltr.tensor`.
     """
-    dims, (orth_rank,) = _bound_sizes(lam, tau, dims, (orth_rank,))
-    if not orth_rank >= 1:
-        raise ValueError(f"orth_rank must be >= 1, got {orth_rank}")
+    if not (lam >= 0 and tau >= 0):
+        raise ValueError("lambda and tau must be non-negative")
+    dims, orth_rank = _dims(dims), _integer("orth_rank", orth_rank, 1)
     return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(math.prod(dims)) + tau * math.sqrt(orth_rank))
 
 
@@ -163,32 +164,23 @@ def three_mode_bound(lam: float, tau: float, dims, mode_ranks) -> float:
     """Sharper three-mode bound using the per-mode unfolding ranks ``mode_ranks``.
 
     ``4 sqrt(2) (lam sqrt(prod dims) + tau R')`` with
-    ``R' = max_m sqrt(r_m * min of the other two ranks)``.
+    ``R' = max_m sqrt(r_m * min of the other two ranks)``.  ``dims`` and the
+    ranks follow the size rule of :mod:`sltr.tensor`, each ``r_m`` in
+    ``[0, min(p_m, P / p_m)]``.
     """
-    dims, ranks = _bound_sizes(lam, tau, dims, mode_ranks)
+    if not (lam >= 0 and tau >= 0):
+        raise ValueError("lambda and tau must be non-negative")
+    dims, ranks = _dims(dims), tuple(mode_ranks)
     if len(ranks) != len(dims):
         raise ValueError("need one rank per mode")
     p_total = math.prod(dims)
-    for r, p in zip(ranks, dims):
-        if not 0 <= r <= min(p, p_total // p):
-            raise ValueError(f"rank {r} impossible for a mode of size {p}")
+    ranks = [_integer(f"mode_ranks[{i}]", r, 0, min(p, p_total // p))
+             for i, (r, p) in enumerate(zip(ranks, dims))]
     if len(dims) != 3:
         raise ValueError(f"three-mode bound needs a 3-mode shape, got {len(dims)} modes")
     r1, r2, r3 = ranks
     r_prime = math.sqrt(max(r1 * min(r2, r3), r2 * min(r1, r3), r3 * min(r1, r2)))
     return 4.0 * math.sqrt(2.0) * (lam * math.sqrt(p_total) + tau * r_prime)
-
-
-def _bound_sizes(lam, tau, *sizes) -> list:
-    """Check that both radii are >= 0; return ``sizes`` as ints (2.0 is 2; 2.5, inf, True raise)."""
-    if not (lam >= 0 and tau >= 0):
-        raise ValueError("lambda and tau must be non-negative")
-    sizes = [tuple(s) for s in sizes]
-    whole = all(float(v).is_integer() and type(v) not in (bool, np.bool_) for s in sizes for v in s)
-    ints = [tuple(int(v) for v in s) for s in sizes] if whole else None
-    if ints != sizes:  # also rejects a string such as "2"
-        raise ValueError(f"dims and ranks must be whole numbers, not bools, got {sizes}")
-    return ints
 
 
 def unfolding_ranks(t: Tensor, rtol: float = 1e-8):

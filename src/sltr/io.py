@@ -25,13 +25,13 @@ the file included, against that length before it reads or allocates the
 field; then it reads the payload straight into the arrays it returns
 (``readinto``; byteswapped in place on a big-endian host).  A header that
 claims more samples or entries than the file holds is rejected before
-anything of that size is allocated.  :func:`read_dataset` and
-:func:`read_tensor` read a regular file where it lies; a pipe, which has no
-length to check against, is read whole and parsed from memory, as are the
-buffers given to :func:`decode_dataset` and :func:`decode_tensor`.  A
-malformed file therefore raises the same :class:`FormatError`, message and
-offset, from every source, and nothing returned shares memory with the
-caller's buffer.
+anything of that size is allocated.  :func:`read_dataset`,
+:func:`read_responses` and :func:`read_tensor` read a regular file where it
+lies; a pipe, which has no length to check against, is read whole and parsed
+from memory, as are the buffers given to :func:`decode_dataset` and
+:func:`decode_tensor`.  A malformed file therefore raises the same
+:class:`FormatError`, message and offset, from every source, and nothing
+returned shares memory with the caller's buffer.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "DATASET_MAGIC",
     "TENSOR_MAGIC",
     "read_dataset",
+    "read_responses",
     "write_dataset",
     "read_tensor",
     "write_tensor",
@@ -204,7 +205,8 @@ def encode_dataset(ds: Dataset) -> bytes:
     return b"".join(_dataset_parts(ds))
 
 
-def _parse_dataset(r: _Reader) -> Dataset:
+def _dataset_header(r: _Reader):
+    """``(dims, n)`` from the header of a dataset file."""
     _read_magic(r, DATASET_MAGIC)
     at = r.offset
     version = r.u32("version")
@@ -215,6 +217,11 @@ def _parse_dataset(r: _Reader) -> Dataset:
     n = r.u64("sample count")
     if n < 1:
         raise FormatError(f"sample count must be >= 1, got {n}", offset=at)
+    return dims, n
+
+
+def _parse_dataset(r: _Reader) -> Dataset:
+    dims, n = _dataset_header(r)
     x, y = r.f64s(((n, math.prod(dims)), "sample payload"), ((n,), "responses"))
     return Dataset._own(dims, x, y)
 
@@ -245,3 +252,18 @@ def write_dataset(path, ds: Dataset) -> None:
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         return _parse_dataset(_file_reader(fh))
+
+
+def read_responses(path) -> np.ndarray:
+    """The responses ``y`` of a dataset file, bit for bit those of :func:`read_dataset`.
+
+    The samples are checked against the file's length and skipped, never read,
+    so a malformed file raises the same :class:`FormatError` as :func:`read_dataset`.
+    """
+    with open(path, "rb") as fh:
+        r = _file_reader(fh)
+        dims, n = _dataset_header(r)
+        size = 8 * n * math.prod(dims)
+        r.fh.seek(r.skip(size, "sample payload") + size)
+        (y,) = r.f64s(((n,), "responses"))
+        return y

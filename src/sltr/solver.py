@@ -88,13 +88,21 @@ sets of 5 alternating fits:
     40x40x10, n=300    0.17 / 0.18 / 0.18  0.18 / 0.17 / 0.18
     60x60x20, n=300    1.06                0.67
     100x100x20, n=100  1.40 / 1.54 / 1.34  1.33 / 1.41 / 1.23
+    60x60x20 pinned    0.63-0.79           0.40-0.56
+    60x60x20 unpinned  0.65-1.14           1.16-1.66
     =================  ==================  ==================
 
-One thread runs the solves in a plain loop, not on a pool, because a fit run
-on a worker thread costs CPU at CV sizes (a nine-cell 5-fold CV at 10x10x5:
-0.75 s median, 0.97 s on a one-worker pool).  With mode threads, pin BLAS to
-one thread (``OPENBLAS_NUM_THREADS=1``): each mode thread's BLAS calls
-otherwise start one BLAS thread per core, and the cores are oversubscribed.
+The last two rows are ranges over later sets of alternating fits at n = 300
+with the backbone kept, BLAS pinned (``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``)
+or at OpenBLAS's default.  A 3-fold CV over three cells there took 9.5-10.0 s
+on one thread and 6.2-6.9 s on two, pinned, so threaded CV pays at that shape
+too.  One thread runs the solves in a plain loop, not on a pool, because a fit
+run on a worker thread costs CPU at CV sizes (a nine-cell 5-fold CV at
+10x10x5: 0.75 s median, 0.97 s on a one-worker pool).  With mode threads, pin
+BLAS to one thread: each mode thread's BLAS calls otherwise start one BLAS
+thread per core, the cores are oversubscribed, and two mode threads run about
+twice as slow as one pinned thread.  Unpinned, even one mode thread burns
+about twice its wall time in CPU.
 Results are bit-identical at every thread count, because each subproblem
 runs the same operations in the same order and the modes are averaged in a
 fixed order.

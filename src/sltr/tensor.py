@@ -32,14 +32,32 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """Immutable dense tensor of 64-bit reals.
+class _Frozen:
+    """Base of the package's immutable containers, :class:`Tensor` and :class:`~sltr.data.Dataset`.
 
-    There are two ways in.  The constructor copies ``data``, so the caller's
-    array stays its own.  The package's own producers build a fresh array,
-    or hold a read-only one (a row of a dataset's design matrix), and hand it
-    over through the private ``_own``, which runs the same checks and keeps
-    it (made read-only), so each tensor's entries are held once.
+    There are two ways in.  The public constructor copies the arrays it is
+    given, so the caller's arrays stay its own.  The package's own producers
+    build fresh arrays, or hold read-only ones (a row of a dataset's design
+    matrix), and hand them over through the private ``_own``, which runs the
+    same checks (the subclass's ``_adopt``) and keeps them, made read-only, so
+    each array is held once.  Either way no attribute can be set afterwards.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _own(cls, *parts):
+        """An instance that keeps the arrays in ``parts`` (made read-only), not copies."""
+        obj = cls.__new__(cls)
+        obj._adopt(*parts, copy=False)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Tensor(_Frozen):
+    """Immutable dense tensor of 64-bit reals, with the two ways in of :class:`_Frozen`.
 
     Parameters
     ----------
@@ -55,17 +73,6 @@ class Tensor:
     def __init__(self, dims, data):
         self._adopt(dims, data, copy=True)
 
-    @classmethod
-    def _own(cls, dims, data) -> "Tensor":
-        """A tensor that keeps ``data`` itself (made read-only), not a copy.
-
-        For fresh float64 arrays, or read-only ones the package holds; the
-        checks are those of the public constructor.
-        """
-        t = cls.__new__(cls)
-        t._adopt(dims, data, copy=False)
-        return t
-
     def _adopt(self, dims, data, copy):
         dims = _dims(dims)
         arr = np.array(data, dtype=np.float64, copy=copy)
@@ -78,9 +85,6 @@ class Tensor:
         arr.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
 
     @property
     def order(self) -> int:

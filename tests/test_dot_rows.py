@@ -155,6 +155,12 @@ class TestShapes:
         out = dot_rows(np.empty((0, 5)), np.ones(5))
         assert out.dtype == np.float64 and out.shape == (0,)
 
+    def test_zero_columns(self):
+        # Each row's sum of no products is math.fsum([]), a positive zero.
+        out = dot_rows(np.empty((3, 0)), np.empty(0))
+        assert out.dtype == np.float64 and out.shape == (3,)
+        assert np.array_equal(out, [math.fsum([])] * 3) and not np.signbit(out).any()
+
     def test_one_column(self):
         x = np.random.default_rng(3).normal(size=(7, 1))
         assert_matches_fsum(x, np.array([0.3]))

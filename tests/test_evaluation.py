@@ -220,13 +220,24 @@ class TestBounds:
                 three_mode_bound(**three_mode)
 
     def test_bound_inputs_normalise_to_int_tuples(self):
-        # Integral floats count as the ints they equal, in the rank checks too:
-        # a mode-1 rank of 2.0 is possible for 2 x 3 x 4, and 3.0 is not.
-        assert three_mode_bound(1.0, 1.0, [2.0, 3, 4], [2.0, 3, 4.0]) == three_mode_bound(
+        # The size rule of sltr.tensor: numpy integers count as the ints they
+        # equal, and an integral float raises, as it does in Tensor((2.0,), ...).
+        i64 = np.int64
+        assert three_mode_bound(1.0, 1.0, [i64(2), 3, 4], [i64(2), 3, i64(4)]) == three_mode_bound(
             1.0, 1.0, (2, 3, 4), (2, 3, 4))
-        assert theorem_bound(1.0, 1.0, [2.0, 3, 4], 2) == theorem_bound(1.0, 1.0, (2, 3, 4), 2)
-        with pytest.raises(ValueError, match="rank 3 impossible"):
-            three_mode_bound(1.0, 1.0, (2.0, 3, 4), (3.0, 1, 1))
+        assert theorem_bound(1.0, 1.0, [i64(2), 3, 4], i64(2)) == theorem_bound(
+            1.0, 1.0, (2, 3, 4), 2)
+        with pytest.raises(ValueError, match=r"^dims\[0\] must be an integer >= 1, got 2\.0$"):
+            theorem_bound(1, 1, (2.0, 3), 1)
+        with pytest.raises(ValueError, match=r"^dims\[0\] must be an integer >= 1, got 2\.0$"):
+            three_mode_bound(1.0, 1.0, (2.0, 3, 4), (1, 1, 1))
+        with pytest.raises(ValueError, match=r"^orth_rank must be an integer >= 1, got 2\.0$"):
+            theorem_bound(1.0, 1.0, (2, 3, 4), 2.0)
+        # A mode-1 rank of 2 is possible for 2 x 3 x 4, and 3 is not; 2.0 is no rank.
+        for rank in (2.0, 3):
+            with pytest.raises(ValueError, match=rf"^mode_ranks\[0\] must be an integer >= 0 and "
+                                                 rf"<= 2, got {rank!r}$"):
+                three_mode_bound(1.0, 1.0, (2, 3, 4), (rank, 1, 1))
 
     def test_unfolding_ranks(self):
         r = np.random.default_rng(0)

@@ -8,8 +8,11 @@ name) or lists it in ``__all__``.  An import whose statement carries
 module.  Every name in a module's ``__all__`` must be defined at its top
 level, and the package's ``__all__`` must be exactly the names its
 ``__init__`` imports, so a deleted name cannot linger as an export.  Only
-``tensor.py`` imports :mod:`numbers`: the size rule lives there alone, and
-every other module checks sizes through it.  The package is layered:
+``tensor.py`` imports :mod:`numbers` or calls ``.is_integer``: the size rule
+lives there alone, and every other module checks sizes through it.  The
+copy-or-keep rule of ``Tensor`` and ``Dataset`` is written once too: the
+package defines ``_own`` and ``__setattr__`` once each, on the base class
+the two share in ``tensor.py``.  The package is layered:
 ``data.py`` imports only ``tensor`` from the package, so the data container
 holds no estimator code: the solver keeps its per-epsilon backbones in a
 private dict of each dataset, but ``data.py`` never makes one.  No module
@@ -150,6 +153,30 @@ def imported_modules(source: str) -> set:
                          ids=lambda p: p.name)
 def test_only_tensor_holds_the_size_rule(path):
     assert "numbers" not in imported_modules(path.read_text())
+
+
+def called_methods(source: str) -> set:
+    """Names of the attributes that ``source`` calls, as in ``x.name(...)``."""
+    return {node.func.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "tensor.py"),
+                         ids=lambda p: p.name)
+def test_only_tensor_decides_whole_numbers(path):
+    assert "is_integer" not in called_methods(path.read_text())
+
+
+def test_method_checker_finds_every_form():
+    source = "float(v).is_integer()\nx.y.is_finite(1)\nf(a.b)\n"
+    assert called_methods(source) == {"is_integer", "is_finite"}
+
+
+def test_copy_or_keep_rule_is_written_once():
+    names = [node.name for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert (names.count("_own"), names.count("__setattr__")) == (1, 1)
 
 
 def test_import_checker_finds_every_form():

@@ -33,6 +33,11 @@ def special_dataset():
     return Dataset(dims, x, y)
 
 
+def responses_dataset():
+    """Special responses beside samples that share none of their bits."""
+    return Dataset((2, 3), np.arange(24.0).reshape(4, 6), f64_from_bits(_SPECIAL_BITS[:4]))
+
+
 def dataset_fields(dims, n):
     """(start, length) of each field of a dataset file, in file order."""
     p = math.prod(dims)
@@ -227,6 +232,32 @@ class TestFileRead:
             path.write_bytes(buf)
             assert format_error(sio.read_tensor, path) == format_error(sio.decode_tensor, buf)
 
+    def test_response_errors_equal_dataset_errors(self, tmp_path):
+        # Every truncation, trailing bytes and every header fault.
+        path = tmp_path / "bad.ds"
+        for buf in malformed_datasets():
+            path.write_bytes(buf)
+            assert format_error(sio.read_responses, path) == format_error(sio.read_dataset, path)
+
+    def test_responses_are_the_datasets_y(self, tmp_path):
+        path = tmp_path / "d.ds"
+        sio.write_dataset(path, responses_dataset())
+        assert same_bits(sio.read_responses(path), sio.read_dataset(path).y)
+
+    def test_a_file_that_shrinks_while_read_raises_at_its_new_end(self, tmp_path):
+        # The length is taken when the reader opens; a read that then comes up
+        # short reports the first byte it could not get.
+        path = tmp_path / "d.ds"
+        buf = sio.encode_dataset(special_dataset())
+        for cut in range(len(buf)):
+            path.write_bytes(buf)
+            with open(path, "rb") as fh:
+                reader = sio._Reader(fh)
+                os.truncate(path, cut)
+                with pytest.raises(FormatError, match="truncated") as info:
+                    sio._parse_dataset(reader)
+            assert info.value.offset == cut, cut
+
     def test_oversized_sample_count_allocates_nothing(self, tmp_path):
         # A header claiming 2**40 samples of 2 x 3 in a file of a few bytes.
         header = b"SLTRDS1\n" + struct.pack("<II", 1, 2) + struct.pack("<QQQ", 2, 3, 2**40)
@@ -247,6 +278,12 @@ class TestFileRead:
         ds = special_dataset()
         back = read_through_a_pipe(sio.read_dataset, sio.encode_dataset(ds), tmp_path)
         assert back.dims == ds.dims and same_bits(back.x, ds.x) and same_bits(back.y, ds.y)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_responses_read_from_a_pipe(self, tmp_path):
+        ds = responses_dataset()
+        back = read_through_a_pipe(sio.read_responses, sio.encode_dataset(ds), tmp_path)
+        assert same_bits(back, ds.y)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_tensor_read_from_a_pipe(self, tmp_path):

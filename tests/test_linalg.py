@@ -328,6 +328,13 @@ class TestBackbone:
         with pytest.raises(NumericalError, match="ridge system overflowed"):
             backbone(1e160 * r.normal(size=(n, 12)), r.normal(size=n), 1.0, (3, 4))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["primal", "dual"])
+    def test_ridge_lost_to_rounding_raises(self, shape):
+        # The Gram matrix of all-ones rows is [[3, 3], [3, 3]]; a ridge of 1e-300
+        # rounds away, so the system LAPACK factors is exactly singular.
+        with pytest.raises(NumericalError, match=r"^ridge system singular despite epsilon=1e-300"):
+            backbone(np.ones(shape), np.ones(shape[0]), 1e-300, (shape[1],))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["x", "y"])
     def test_one_non_finite_entry_raises(self, bad, where):

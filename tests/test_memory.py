@@ -57,6 +57,15 @@ def test_read_dataset(dataset, tmp_path):
     assert peak <= 1.05 * back.x.nbytes
 
 
+def test_read_responses(dataset, tmp_path):
+    # The samples are skipped, never read: the peak is a small part of y's 1.6 KB.
+    path = tmp_path / "d.ds"
+    sio.write_dataset(path, dataset)
+    y, peak = traced_peak(sio.read_responses, path)
+    assert np.array_equal(y, dataset.y)
+    assert peak <= 0.01 * dataset.x.nbytes
+
+
 def test_decode_dataset(dataset):
     # The buffer is read in place: wrapping anything but bytes would copy it first.
     back, peak = traced_peak(sio.decode_dataset, sio.encode_dataset(dataset))

@@ -9,7 +9,9 @@ tau, epsilon), one for ``eval``'s predictions and labels.  Output tables
 have one header row and write floats by ``repr``; ``fit`` prints two, the
 residual of every sweep and then one certificate row per mode, with an
 empty line between them.  The second table's ``seconds`` column holds wall
-times, and its first row, ``backbone``, has the backbone's time alone.
+times, and its first row, ``backbone``, has the backbone's time alone; its
+``exit`` column reads ``converged`` only for a certified answer, one whose
+``gap`` is at most ``--tol`` times its ``objective``.
 Binary artifacts use the formats in :mod:`sltr.io`.  Exit code 0 on success,
 nonzero with a one-line diagnostic on error.
 """
@@ -99,8 +101,8 @@ def _add_solver_flags(p, with_params=True):
     p.add_argument("--max-iter", type=int, default=_DEFAULTS["max_iter"],
                    help="sweeps per mode subproblem at most (default: %(default)s)")
     p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
-                   help="stop a mode once a sweep's residual, relative to the state, "
-                        "is at most this (default: %(default)s)")
+                   help="relative duality gap: stop a mode once its certificate shows a gap "
+                        "of at most this times its objective (default: %(default)s)")
     p.add_argument("--threads", type=int, default=1,
                    help="mode threads, one subproblem each (default: %(default)s); more pay only "
                         "where two modes are each large; "

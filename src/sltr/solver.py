@@ -16,60 +16,90 @@ prox is soft thresholding then the clamp into the ball (both act entry by
 entry; Yu, NeurIPS 2013), the nuclear norm, and the spectral ball.  Three
 copies ``y_i`` of the iterate, one per term, are advanced by their
 prox/projection operators ``p_i = prox(y_i)``, combined by an equal-weight
-average, and relaxed by ``rho``.  The sweeps carry the copies alone: the
-consensus iterate is their mean, formed once, when the solve ends.  PPXA is
-Douglas-Rachford splitting on the product of the copies, so the change of
-the whole state ``y`` in one sweep (its fixed-point residual) never
-increases, and it is zero exactly at a fixed point, whose consensus iterate
-is a minimiser.  A sweep whose residual is at most ``tol`` times ``||y||``
-(Frobenius norms over all three copies) ends the solve.  Watching the
-consensus iterate alone is not enough: it can stand still while the copies
-are far from a fixed point.
+average, and relaxed by ``rho``.  The sweeps carry the copies alone.  PPXA is
+Douglas-Rachford splitting on the product of the copies, so the plain step
+``y -> y + rho d(y)`` is an averaged map: the change ``rho ||d||`` of the
+whole state in one step (its fixed-point residual) never increases, and it
+is zero exactly at a fixed point, where every ``p_i`` is a minimiser.
 
-The solve has three parts.  ``_unit_problem`` brings the centre's largest
+The solve has four parts.  ``_unit_problem`` brings the centre's largest
 entry into [1, 2) by a power of two, radii with it, so no norm of a huge or
 tiny centre overflows or underflows, tests for the answer 0 and takes the
-step; ``_sweep`` runs one sweep; ``_certificate`` certifies and scales back.
-Other solve loops keep the sweep and replace one thing: the stopping rule
-(certify in mid-run), the step (adapt it), the first ``y`` (warm start) or
-the loop (batch, extrapolate).
+step; ``_sweep`` runs one sweep; ``_certificate`` picks a feasible answer,
+certifies it and scales it back; ``_History`` extrapolates.  Other solve
+loops keep the sweep and replace one thing: the step (adapt it), the first
+``y`` (warm start) or the loop (batch).
 
-The prox step of the norm terms changes how fast the iterates reach a fixed
-point, not which one, so it is not a setting: it is taken from the problem,
+**The step.**  The prox step of the norm terms changes how fast the iterates
+reach a fixed point, not which one, so it is not a setting: it is taken from
+the problem,
 
-    step = max(min(rms(c), max(lambda, tau / sqrt(max(m, n)))), 2**-52),
+    step = 2**-2 * max(min(rms(c), max(lambda, tau / sqrt(max(m, n)))), 2**-52),
 
 the centre's rms entry ``||c||_F / sqrt(mn)``, capped by the larger radius
 as an entry size (an m x n matrix whose singular values all equal tau has
-rms entry ``tau / sqrt(max(m, n))``), and floored at one ulp of the
-unit-scale centre's largest entry, below which a radius moves nothing.  So
-the solver has no units: scaling ``(c, lambda, tau)`` by a power of two
-scales every iterate by it exactly.  The cap binds only where both radii are
-below the centre's entry size.  On a 6 x 8 normal centre (seed 21) with
-lambda = tau = 1e-6 at ``tol`` 1e-8, the step ``rms(c)`` runs 20,000 sweeps
-to ``max_iter`` and stops 1.7 tau outside the spectral ball; the capped step
-converges in 29 sweeps, 0.029 tau outside.
+rms entry ``tau / sqrt(max(m, n))``), floored at one ulp of the unit-scale
+centre's largest entry, below which a radius moves nothing, and scaled by a
+power of two.  So the solver has no units: scaling ``(c, lambda, tau)`` by a
+power of two scales every iterate by it exactly.  The cap binds only where
+both radii are below the centre's entry size: on a 6 x 8 normal centre
+(seed 21) with lambda = tau = 1e-6, the uncapped step ran 20,000 sweeps to
+``max_iter`` and stopped 1.7 tau outside the spectral ball.  The factor is
+the power of two that stops soonest at equal certified accuracy.  Measured
+under the loop below on the seed-0 30x30x10 fit at lambda = tau = 1 (sweeps
+of modes 1/2/3, CPU median of 11 fits) and a 5-fold CV over the nine cells
+of the benchmark's 10x10x5 datasets 0-2 (sweeps, and the swept solves more
+than 1% from their ``tol`` 1e-10 answer):
 
-Each solve ends with a :class:`Certificate`: the objective and the two
-constraint violations of the returned iterate, and a duality gap from the
-dual point ``z_i = (y_i - p_i) / step`` of the last sweep.  It costs a few
-small spectral computations per mode, once, not per sweep.
+STEP_TABLE
+
+**The stop and the answer.**  A solve ends when it can prove its answer is
+good: ``tol`` is a relative duality gap.  The residual only says when to
+look.  The first :class:`Certificate` is built when the relative residual
+``rho ||d|| / ||y||`` (Frobenius norms over all three copies) reaches
+``_FIRST_CHECK``; a failed check divides that threshold by 10 and is made
+again, whatever the residual, once the sweep count reaches 1.5 times its
+own (Boyd et al., Found. Trends ML 3, 2011, section 3.3).  A certificate
+costs about eight small spectral computations, a few sweeps' worth, so it
+is not built every sweep.  The answer is feasible: of the prox points of
+the two constrained terms, ``p1`` (in the l-infinity ball) and ``p3`` (in
+the spectral ball), each is drawn along its segment to the centre into
+both balls, and the one with the smaller objective is returned.  Its
+violations are rounding, and its gap is a true bound on how far its
+objective lies above the optimum.  The dual point is ``z_i = (y_i - p_i) /
+step`` of the same sweep, made feasible; where the radii are too small for
+it to resolve, the centre's own bound ``||c||_1 - mn lambda + ||c||_* -
+min(m, n) tau`` certifies instead.  The mean of the copies, PPXA's
+consensus iterate, would be a worse answer: drawn into both balls, its
+objective exceeded the better ``p_i``'s by up to 27% at the first check of
+the seed-0 fit at (lambda, tau) = (0.3, 3).  Measured as above, the fit
+solves being modes 1-3 of seeds 0-1 at (lambda, tau) = (1, 1), (0.1, 1),
+(1, 0.1) and (0.3, 3), and distances to the ``tol`` 1e-10 answer:
+
+STOP_TABLE
+
+**Extrapolation.**  After its first failed check, a solve extrapolates with
+type-II Anderson acceleration of the plain step (Zhang, O'Donoghue & Boyd,
+SIAM J. Optim. 30, 2020): the next point combines the plain steps ``f_j``
+of the last three points so that the same combination of their moves
+``g_j`` is shortest (see :class:`_History`).  It is safeguarded.  The
+divergence checks run first on every sweep.  An extrapolated point whose
+move is longer than that of the point it came from is rejected for that
+point's plain step, and the history restarts; so is an extrapolation whose
+coefficients are not finite or sum above 1e4 in absolute value, or whose
+step is longer than ten plain steps (without that cap, CV dataset 8's cell
+(1, 1, 10) drove the relative residual to 3,148).  Every sweep, rejected or
+not, calls each operator once and appends one residual.  Before the first
+check the solve takes plain steps: most solves certify at that check, and
+the history's bookkeeping would only slow their sweeps.  Measured as above
+(CV CPU the least of three calls on each of datasets 0-2):
+
+ANDERSON_TABLE
 
 ``rho`` is fixed at 1.5: over-relaxation (``rho`` in (1, 2)) leaves the fixed
-points unchanged and cuts the sweeps, up to a point.  Measured at ``tol``
-1e-3, lambda = tau = 1 and the step ``rms(c)`` (the radius cap leaves the
-fit as it is and the CV sweeps within 0.7%), on the seed-0 30x30x10 fit and
-a 5-fold CV over nine cells of 10x10x5 datasets 0/1/2 (violations relative
-to the radius):
+points unchanged.  Measured under this loop, as above:
 
-    ===============================  ==============  ==============  ==============
-                                     rho = 1.0       rho = 1.5       rho = 1.8
-    ===============================  ==============  ==============  ==============
-    fit sweeps, modes 1/2/3          26/26/29        28/29/34        41/42/62
-    CV sweeps, dataset 0             4,285           4,318           7,636
-    worst CV violation, by dataset   .012/.009/.014  .003/.003/.016  .014/.005/.019
-    CV solves, |gap| > 1e-2 obj.     24 of 279       13 of 279       21 of 279
-    ===============================  ==============  ==============  ==============
+RHO_TABLE
 
 The mode subproblems are independent, so they may run on mode threads.
 These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
@@ -120,7 +150,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DivergenceError
-from .linalg import _max_abs, backbone, nuclear_norm, spectral_norm
+from .linalg import _max_abs, backbone, nuclear_norm, singular_values, spectral_norm
 from .prox import ConstraintCenter, project_linf_ball, project_spectral_ball, prox_l1, prox_nuclear
 from .tensor import Tensor, _dims, _integer, _unfolding_shape, dot_rows, fold, unfold
 from .tensor import inner  # noqa: F401  perfbench/spans.py traces sltr.solver.inner
@@ -139,6 +169,13 @@ __all__ = [
 
 _DIVERGENCE_FACTOR = 1e6
 _RHO = 1.5  # the relaxation factor; see the module notes
+_STEP_FACTOR = 0.25  # times the step rule of the module notes; a power of two
+_FIRST_CHECK = 3e-2  # the residual at which a solve first builds its certificate
+_MEMORY = 3  # points combined by an extrapolation
+_REGULARIZATION = 1e-8  # times the trace of an extrapolation's normal matrix
+_COEFFICIENT_CAP = 1e4  # on the l1 norm of an extrapolation's coefficients
+_STEP_CAP = 10.0  # on an extrapolated step, in plain steps
+_RECHECK = 1.5  # a failed check is made again, whatever the residual, at this multiple of its sweep
 
 
 @dataclass(frozen=True)
@@ -147,11 +184,11 @@ class SolverConfig:
 
     ``lam`` and ``tau`` are the l-infinity and spectral constraint radii,
     and ``epsilon`` the backbone ridge parameter.  The radii may be
-    infinite.  A mode subproblem stops after the first sweep whose
-    whole-state residual is at most ``tol`` times ``||y||``, or after
-    ``max_iter`` sweeps.  The prox step and the relaxation factor are not
-    settings: each mode takes its step from its centre and the radii (see
-    the module notes).  The thread count is not part of the configuration:
+    infinite.  ``tol`` is a relative duality gap: a mode subproblem stops
+    at the first certificate whose gap is at most ``tol`` times its
+    objective, or after ``max_iter`` sweeps.  The prox step, the relaxation
+    factor and the points at which certificates are built are not settings
+    (see the module notes).  The thread count is not part of the configuration:
     it changes no result, and is given to :func:`fit` instead.  ``max_iter``
     follows the size rule of :mod:`sltr.tensor`.
     """
@@ -160,7 +197,7 @@ class SolverConfig:
     tau: float
     epsilon: float = 1.0
     max_iter: int = 1000
-    tol: float = 1e-3
+    tol: float = 1e-2
 
     def __post_init__(self):
         for name, value in zip(("lambda", "tau", "epsilon", "tol"),
@@ -174,20 +211,21 @@ class SolverConfig:
 class Certificate:
     """How one mode subproblem ended, and how far from optimal its answer is.
 
-    ``objective`` is ``||x||_1 + ||x||_*`` at the returned iterate ``x``.
+    ``objective`` is ``||x||_1 + ||x||_*`` at the returned answer ``x``.
     ``linf_violation`` and ``spectral_violation`` are the distances by which
-    ``||x - c||_inf`` and ``||x - c||_spec`` exceed their radii (0 inside).
-    ``gap`` is ``objective`` minus the value of a dual feasible point made
-    from ``z_i = (y_i - p_i) / step`` of the last sweep, one per term
-    (``z1`` for the l1 norm on the l-infinity ball, whose conjugate is exact
-    and elementwise): ``z2`` scaled into the spectral unit ball, and the
-    residual of ``z1 + z2 + z3 = 0`` absorbed into ``z1`` or ``z3``.
-    When both violations are 0, ``gap`` bounds how far ``objective`` lies
-    above the optimum; an infeasible ``x`` can have an objective below the
-    optimum, and so a negative gap.  The dual point carries a rounding error
-    of about ``1e-16 * ||y|| / step``, largest at the step's floor.  ``exit``
-    is ``"zero"`` (0 is feasible and returned with no sweep), ``"converged"``
-    (the residual rule fired) or ``"max_iter"``.
+    ``||x - c||_inf`` and ``||x - c||_spec`` exceed their radii (0 inside);
+    ``x`` is drawn into both balls, so they are rounding.  ``gap`` is
+    ``objective`` minus a lower bound on the optimum: the value of a dual
+    feasible point made from ``z_i = (y_i - p_i) / step`` of the last sweep,
+    one per term (``z1`` for the l1 norm on the l-infinity ball, whose
+    conjugate is exact and elementwise): ``z2`` scaled into the spectral
+    unit ball, and the residual of ``z1 + z2 + z3 = 0`` absorbed into ``z1``
+    or ``z3``; or, where that is too low, the centre's own bound
+    ``||c||_1 - mn lam + ||c||_* - min(m, n) tau``.  So ``gap`` bounds how
+    far ``objective`` lies above the optimum.  ``exit`` is ``"zero"`` (0 is
+    feasible and returned with no sweep), ``"converged"`` (certified: ``0 <=
+    gap <= tol * objective``, or a gap within rounding of an objective near
+    0) or ``"max_iter"`` (not certified by the last sweep).
     """
 
     objective: float
@@ -238,7 +276,7 @@ class FitResult:
 
     @property
     def converged(self) -> tuple[bool, ...]:
-        """Per mode, whether it stopped before ``max_iter``: by the residual rule or at zero."""
+        """Per mode, whether its answer is certified within ``tol``, or is the exact zero."""
         return tuple(c.exit != "max_iter" for c in self.certificates)
 
 
@@ -255,46 +293,74 @@ class _UnitProblem:
     k: int
     step: float
 
+    @functools.cached_property
+    def bound(self) -> float:
+        """``||c||_1 - mn lam + ||c||_* - min(m, n) tau``, below every feasible objective.
+
+        By the triangle inequality; it certifies the centre itself where the
+        radii are too small for the dual point of a sweep to resolve.
+        """
+        c = self.ctr.c
+        return ((_total(np.abs(c)) - c.size * self.ctr.lam)
+                + (float(np.sum(singular_values(c))) - min(c.shape) * self.ctr.tau))
+
 
 def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     """Solve the mode-m subproblem around ``center`` by proximal splitting.
 
     ``center`` must be the mode-m unfolding of the backbone tensor.  Returns
-    ``(w, trace)`` where ``w`` is the consensus iterate, the mean of the
-    three copies after the last sweep, and ``trace`` is a :class:`ModeTrace`:
-    the relative residual ``||y+ - y|| / ||y||`` of each sweep, over all
-    three copies, and the exit :class:`Certificate`.  Raises
+    ``(w, trace)`` where ``w`` is the feasible answer of the last certificate
+    built (see the module notes) and ``trace`` is a :class:`ModeTrace`: the
+    relative residual ``||y+ - y|| / ||y||`` of each sweep's plain step, over
+    all three copies, and the exit :class:`Certificate`.  Raises
     :class:`NumericalError` for a non-finite centre.  Returns exact zeros
     after no sweep when ``||center||_inf <= lam`` and ``||center||_spec <= tau``.
-    Otherwise terminates after the first sweep whose residual is at most
-    ``cfg.tol``, or at ``cfg.max_iter``; raises :class:`DivergenceError`, its
-    message starting ``mode m:``, if the residual is not finite or grows a
-    millionfold over that of the first sweep.  The error's trace holds the
-    residuals of every sweep before that, and of the sweep itself when it
-    grew.  Every centre is solved scaled by the power of two that brings its
-    largest entry into [1, 2), radii with it, and ``w`` and the certificate
-    are scaled back: the answer is exactly the unit-scale answer scaled, and
-    a certificate field too large for a double is ``inf``.  Its parts are ``_unit_problem``,
-    ``_sweep`` and ``_certificate``; the module notes say which one each other solve loop replaces.
+    Otherwise terminates at the first certificate with ``0 <= gap <= cfg.tol
+    * objective``, or at ``cfg.max_iter``, certified or not; raises
+    :class:`DivergenceError`, its message starting ``mode m:``, if the
+    residual is not finite or grows a millionfold over that of the first
+    sweep.  The error's trace holds the residuals of every sweep before that,
+    and of the sweep itself when it grew.  Every centre is solved scaled by
+    the power of two that brings its largest entry into [1, 2), radii with
+    it, and ``w`` and the certificate are scaled back: the answer is exactly
+    the unit-scale answer scaled, and a certificate field too large for a
+    double is ``inf``.  Its parts are ``_unit_problem``, ``_sweep``,
+    ``_certificate`` and ``_History``.
     """
     problem = _unit_problem(m, center, dims, cfg)
     if problem is None:
         return np.zeros_like(center, float), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
     y = np.stack([problem.ctr.c] * 3)
+    history = _History(y.shape)
     residuals = []
+    threshold, checked = _FIRST_CHECK, 0  # checked: the sweep of the last failed check
+    origin = None  # the history slot of the point an extrapolated y came from
     for t in range(1, cfg.max_iter + 1):
-        p, d = _sweep(problem, y)  # y moves by rho * d
-        rel = _RHO * float(np.linalg.norm(d)) / float(np.linalg.norm(y))
+        p, d = _sweep(problem, y)
+        f, size = history.add(y, d)  # the plain step y + rho d, and ||rho d||
+        flat = y.reshape(-1)
+        rel = size / math.sqrt(flat @ flat)
         if not math.isfinite(rel):
             raise DivergenceError(f"mode {m}: non-finite residual at iteration {t}", residuals)
         residuals.append(rel)
         if rel > _DIVERGENCE_FACTOR * residuals[0]:
             raise DivergenceError(f"mode {m}: residual grew {rel / residuals[0]:.1e}-fold by "
                                   f"iteration {t}", residuals)
-        if rel <= cfg.tol or t == cfg.max_iter:
-            break
-        y += _RHO * d
-    w, certificate = _certificate(problem, y, p, d, "converged" if rel <= cfg.tol else "max_iter")
+        rejected = origin is not None and size > history.size[origin]
+        due = rel <= threshold or (checked and t >= _RECHECK * checked)
+        if (due and not rejected) or t == cfg.max_iter:
+            w, certificate = _certificate(problem, y, p, cfg.tol)
+            if certificate.exit == "converged" or t == cfg.max_iter:
+                break
+            threshold, checked = threshold / 10, t
+        if rejected:  # back to the plain step from the point the extrapolation came from
+            y[...] = history.f[origin]
+            history.restart()
+            origin = None
+        else:
+            y, origin = history.extrapolate(y, f, size)
+            if not checked:
+                history.restart()  # plain steps, and no history, until the first failed check
     return w, ModeTrace(tuple(residuals), certificate)
 
 
@@ -313,7 +379,8 @@ def _unit_problem(m, center, dims, cfg) -> _UnitProblem | None:
     if math.ldexp(scale, k) <= lam and spectral_norm(ctr.c) <= tau:
         return None
     rms = float(np.linalg.norm(ctr.c)) / math.sqrt(ctr.c.size)
-    return _UnitProblem(ctr, k, max(min(rms, max(lam, tau / math.sqrt(max(shape)))), 2.0**-52))
+    step = max(min(rms, max(lam, tau / math.sqrt(max(shape)))), 2.0**-52)
+    return _UnitProblem(ctr, k, _STEP_FACTOR * step)
 
 
 def _sweep(problem: _UnitProblem, y: np.ndarray):
@@ -324,19 +391,138 @@ def _sweep(problem: _UnitProblem, y: np.ndarray):
     return p, (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p
 
 
-def _certificate(problem: _UnitProblem, y, p, d, exit: str):
-    """``(x, certificate)`` after the last sweep ``(p, d)``: ``y`` moves, ``x`` is scaled back."""
-    # x keeps the memory order of y: np.sum's last bit depends on the order it reads x in.
+def _certificate(problem: _UnitProblem, y, p, tol: float):
+    """``(x, certificate)`` after the sweep ``(y, p)``; ``x`` is scaled back.
+
+    ``x`` is feasible: of the prox points of the two constrained terms,
+    ``p1`` in the l-infinity ball and ``p3`` in the spectral ball, each is
+    drawn towards the centre into both balls, to ``c + theta (p_i - c)``
+    with the largest ``theta`` in [0, 1] that reaches them, and ``x`` is the
+    one with the smaller objective.  The exit is ``"converged"`` when ``0 <=
+    gap <= tol * objective`` (or the gap is within ``c.size`` ulps of 2, the
+    rounding of an objective near 0), and ``"max_iter"`` otherwise.
+    """
     ctr, k = problem.ctr, problem.k
     z = (y - p) / problem.step  # z_i lies in the subdifferential of term i at p_i
-    y += _RHO * d
-    x = y.sum(axis=0) / 3  # the consensus iterate: the mean of the copies
-    l1, nuclear, linf_gap, spec_gap = objective_and_gaps(x, ctr)
-    objective = l1 + nuclear
-    gap = objective - _dual_value(z, ctr)
+    best = None
+    for x in (p[0], p[2]):
+        d = x - ctr.c
+        norms = float(np.max(np.abs(d))), spectral_norm(d)
+        theta = min([1.0] + [r / n for r, n in zip((ctr.lam, ctr.tau), norms) if n > r])
+        if theta < 1.0:
+            x, norms = ctr.c + theta * d, None
+        objective = _total(np.abs(x)) + nuclear_norm(x)
+        if best is None or objective < best[0]:
+            best = objective, x, norms
+    objective, x, norms = best
+    if norms is None:  # drawn in: the distances to the centre, to rounding
+        d = x - ctr.c
+        norms = float(np.max(np.abs(d))), spectral_norm(d)
+    lower = _dual_value(z, ctr)
+    if objective - lower > tol * objective:
+        lower = max(lower, problem.bound)
+    gap = objective - lower
+    exit = "converged" if 0.0 <= gap <= max(tol * objective, math.ldexp(ctr.c.size, -50)) else "max_iter"
     with np.errstate(over="ignore"):
-        fields = np.ldexp([objective, max(linf_gap, 0.0), max(spec_gap, 0.0), gap], -k).tolist()
+        fields = np.ldexp([objective, max(norms[0] - ctr.lam, 0.0), max(norms[1] - ctr.tau, 0.0),
+                           gap], -k).tolist()
     return np.ldexp(x, -k), Certificate(*fields, exit)
+
+
+class _History:
+    """The last ``_MEMORY`` points of a solve, for type-II Anderson acceleration of its map.
+
+    The map is the plain step ``y -> f = y + g``, ``g = rho d(y)``.  One
+    preallocated ``(2, _MEMORY, 3, m, n)`` array holds each point's ``g`` and
+    ``f`` in a ring of slots, and ``gram`` the inner products of the ``g``,
+    one row written per point.  An extrapolation is ``sum_j alpha_j f_j`` over
+    the points held, ``alpha`` minimising ``||sum_j alpha_j g_j||`` subject to
+    ``sum_j alpha_j = 1`` (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 2020).
+    """
+
+    def __init__(self, shape):
+        self.g, self.f = np.empty((2, _MEMORY, *shape))
+        self.gram = [[0.0] * _MEMORY for _ in range(_MEMORY)]
+        self.size = [0.0] * _MEMORY  # ||g|| of each slot
+        self.count = 0  # points held since the last restart, the newest in slot (count - 1) % _MEMORY
+        self.spare = np.empty(shape)
+
+    def add(self, y, d):
+        """Write the point ``y`` with move ``d`` into the next slot; ``(f, ||g||)``."""
+        s, held = self.count % _MEMORY, min(self.count + 1, _MEMORY)
+        g = np.multiply(d, _RHO, out=self.g[s])
+        f = np.add(y, g, out=self.f[s])
+        self.row = (self.g[:held].reshape(held, -1) @ g.reshape(-1)).tolist()
+        return f, math.sqrt(self.row[s])
+
+    def restart(self):
+        self.count = 0
+
+    def extrapolate(self, y, f, size):
+        """Keep the point just added; ``(next y, its slot)``, the slot ``None`` for a plain step.
+
+        The plain step ``f`` is taken, and the history restarted, where fewer
+        than two points are held, or the coefficients are refused (see
+        :func:`_coefficients`), or the extrapolated step is longer than
+        ``_STEP_CAP`` plain steps.  ``y`` may be overwritten.
+        """
+        s, held = self.count % _MEMORY, min(self.count + 1, _MEMORY)
+        self.count += 1
+        for j, v in enumerate(self.row):
+            self.gram[s][j] = self.gram[j][s] = v
+        self.size[s] = size
+        if held > 1:
+            alpha = _coefficients(self.gram, s, held)
+            if alpha is not None:
+                nxt = self.spare
+                np.dot(alpha, self.f[:held].reshape(held, -1), out=nxt.reshape(-1))
+                step = np.subtract(nxt, y, out=y).reshape(-1)
+                if math.sqrt(step @ step) <= _STEP_CAP * size:
+                    self.spare = y
+                    return nxt, s
+            self.restart()
+        y[...] = f
+        return y, None
+
+
+def _coefficients(gram, s, held):
+    """The coefficients over slots ``0..held-1`` of an extrapolation, ``s`` the newest; ``None`` if refused.
+
+    With ``alpha_s = 1 - sum_j gamma_j``, ``gamma`` solves the least-squares
+    problem ``min ||g_s + sum_j gamma_j (g_j - g_s)||`` over the other slots,
+    its normal matrix regularized by ``_REGULARIZATION`` times its trace.
+    Refused where that matrix is 0, or ``alpha`` is not finite or its l1
+    norm exceeds ``_COEFFICIENT_CAP``.
+    """
+    others = [j for j in range(held) if j != s]
+    a = [[gram[i][j] - gram[i][s] - gram[j][s] + gram[s][s] for j in others] for i in others]
+    b = [gram[s][s] - gram[i][s] for i in others]
+    trace = sum(a[i][i] for i in range(len(others)))
+    if not trace > 0.0:
+        return None
+    for i in range(len(others)):
+        a[i][i] += _REGULARIZATION * trace
+    gamma = _solve(a, b)
+    alpha = [0.0] * held
+    for j, v in zip(others, gamma):
+        alpha[j] = v
+    alpha[s] = 1.0 - sum(gamma)
+    return alpha if sum(abs(v) for v in alpha) <= _COEFFICIENT_CAP else None  # False for a NaN
+
+
+def _solve(a, b):
+    """``a^-1 b`` for a small symmetric positive definite ``a``, by elimination without pivots."""
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = a[j][i] / a[i][i]
+            for k in range(i, n):
+                a[j][k] -= r * a[i][k]
+            b[j] -= r * b[i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (b[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return x
 
 
 def _dual_value(z, ctr):
@@ -356,8 +542,8 @@ def _dual_value(z, ctr):
     r = z1 + z2 + z[2]
     # tau ||z3||_* with z3 kept, and with z3 - r = -(z1 + z2); 0 for a zero z3, whatever tau.
     support = [ctr.tau * n if n else 0.0 for n in (nuclear_norm(z[2]), nuclear_norm(z[2] - r))]
-    into_z1 = -_l1_box_conjugate(z1 - r, ctr) - float(np.sum(ctr.c * z[2])) - support[0]
-    into_z3 = -_l1_box_conjugate(z1, ctr) + float(np.sum(ctr.c * (z1 + z2))) - support[1]
+    into_z1 = -_l1_box_conjugate(z1 - r, ctr) - _total(ctr.c * z[2]) - support[0]
+    into_z3 = -_l1_box_conjugate(z1, ctr) + _total(ctr.c * (z1 + z2)) - support[1]
     return max(into_z1, into_z3)
 
 
@@ -371,7 +557,12 @@ def _l1_box_conjugate(z, ctr):
     if math.isinf(ctr.lam):
         return 0.0 if np.max(np.abs(z)) <= 1.0 else math.inf
     a, b = ctr.c - ctr.lam, ctr.c + ctr.lam
-    return float(np.sum(np.max([z * u - np.abs(u) for u in (a, b, np.clip(0.0, a, b))], axis=0)))
+    return _total(np.max([z * u - np.abs(u) for u in (a, b, np.clip(0.0, a, b))], axis=0))
+
+
+def _total(a) -> float:
+    """The sum of the entries of ``a``, read in C order whatever its layout, so its bits are too."""
+    return float(np.sum(np.ravel(a, order="C")))
 
 
 def fit(ds: Dataset, cfg: SolverConfig, threads: int = 1) -> FitResult:
@@ -437,7 +628,7 @@ def objective_and_gaps(w: np.ndarray, ctr: ConstraintCenter):
     ctr.check_shape(np.asarray(w))
     d = w - ctr.c
     return (
-        float(np.sum(np.abs(w))),
+        _total(np.abs(w)),
         nuclear_norm(w),
         float(np.max(np.abs(d))) - ctr.lam,
         spectral_norm(d) - ctr.tau,

@@ -5,6 +5,8 @@ minimization, pair counting, one PPXA copy at a time) so that it shares no code
 path with the package implementation it checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -111,6 +113,15 @@ def auc_paircount(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def _reference_sweep(copies, ops):
+    """One PPXA sweep, one copy at a time: the operator outputs and the step of each copy."""
+    n = len(ops)
+    a = [op(w) for op, w in zip(ops, copies)]
+    # The consensus iterate is the mean of the copies, so it is not carried.
+    reflected = (2.0 * np.sum(a, axis=0) - np.sum(copies, axis=0)) / n
+    return a, [reflected - a[i] for i in range(n)]
+
+
 def ppxa_reference(center, ops, rho, tol, max_iter):
     """PPXA sweeps, one copy at a time, stopped by the residual of the whole state.
 
@@ -127,10 +138,7 @@ def ppxa_reference(center, ops, rho, tol, max_iter):
     copies = [np.array(center, dtype=float) for _ in range(n)]
     residuals = []
     for _ in range(max_iter):
-        a = [op(w) for op, w in zip(ops, copies)]
-        # The consensus iterate is the mean of the copies, so it is not carried.
-        reflected = (2.0 * np.sum(a, axis=0) - np.sum(copies, axis=0)) / n
-        steps = [reflected - a[i] for i in range(n)]
+        a, steps = _reference_sweep(copies, ops)
         size = float(np.linalg.norm(np.stack(copies)))
         residuals.append(rho * float(np.linalg.norm(np.stack(steps))) / size)
         last = [w.copy() for w in copies]
@@ -139,3 +147,111 @@ def ppxa_reference(center, ops, rho, tol, max_iter):
         if residuals[-1] <= tol:
             break
     return np.sum(copies, axis=0) / n, residuals, last, a
+
+
+def _reference_gamma(a, b):
+    """The solution of the 1 x 1 or 2 x 2 system ``a gamma = b``, by elimination of the first unknown."""
+    if len(b) == 1:
+        return [b[0] / a[0][0]]
+    r = a[1][0] / a[0][0]
+    second = (b[1] - r * b[0]) / (a[1][1] - r * a[0][1])
+    return [(b[0] - a[0][1] * second) / a[0][0], second]
+
+
+def certified_ppxa_reference(center, ops, rho, max_iter, certify, constants, carry=False):
+    """The certified, accelerated PPXA loop of ``sltr.solver``, one copy at a time.
+
+    A sweep's copies ``y`` move to the plain step ``f = y + rho * step``.
+    ``certify(y, p)`` says whether the certificate of the sweep with copies
+    ``y`` and operator outputs ``p`` converges; it is asked when the
+    relative residual reaches the threshold, first ``first_check`` and ten
+    times smaller after each failed check, or when the sweep count reaches
+    ``recheck`` times that of the last failed check, and at the last sweep.
+    Until the first failed check every sweep takes its plain step.  After
+    it, each point's ``g = rho * step`` and ``f`` join a ring of ``memory``
+    slots, and the next point is the combination ``sum_j alpha_j f_j`` with
+    ``sum_j alpha_j = 1`` that minimises ``||sum_j alpha_j g_j||``, the
+    normal matrix of its differences regularized, unless the coefficients'
+    l1 norm exceeds ``coefficient_cap`` or the move is longer than
+    ``step_cap`` plain steps: then the plain step, and the ring restarts.
+    An extrapolated point whose ``||g||`` exceeds that of the point it came
+    from is rejected: the next point is that point's plain step, and the
+    ring restarts.  ``constants`` is ``(first_check, recheck, memory,
+    regularization, coefficient_cap, step_cap)``, ``memory`` at most 3.
+
+    The inner products and combinations are taken over the stacked copies,
+    in ring order, as the package takes them, so the run agrees bit for bit.
+    With ``carry``, the consensus iterate is carried as the paper writes
+    PPXA, moved by ``rho (mean(p) - x)`` on a plain step, and combined like
+    the copies.  Returns ``(residuals, y, p, x)``: the residual of each
+    sweep, the copies and operator outputs of the last sweep, and the
+    carried consensus iterate of its plain step (``None`` without ``carry``).
+    """
+    first_check, recheck, memory, regularization, coefficient_cap, step_cap = constants
+    assert memory <= 3
+    n = len(ops)
+    copies = [np.array(center, dtype=float) for _ in range(n)]
+    x = np.array(center, dtype=float) if carry else None
+    ring = [None] * memory  # (g, f, x of f, ||g||) per slot
+    gram = [[0.0] * memory for _ in range(memory)]
+    held = 0  # points in the ring since its last restart
+    residuals, threshold, checked, origin = [], first_check, 0, None
+    for t in range(1, max_iter + 1):
+        a, steps = _reference_sweep(copies, ops)
+        g = np.stack([rho * s for s in steps])
+        f = np.stack([w + gi for w, gi in zip(copies, g)])
+        fx = x + rho * (np.sum(a, axis=0) / n - x) if carry else None
+        slot = held % memory
+        ring[slot] = (g, f, fx, None)
+        rows = np.stack([ring[j][0] for j in range(min(held + 1, memory))])
+        row = (rows.reshape(len(rows), -1) @ g.reshape(-1)).tolist()
+        size = math.sqrt(row[slot])
+        flat = np.stack(copies).reshape(-1)
+        residuals.append(size / math.sqrt(flat @ flat))
+        rejected = origin is not None and size > ring[origin][3]
+        due = residuals[-1] <= threshold or (checked and t >= recheck * checked)
+        if (due and not rejected) or t == max_iter:
+            if certify(copies, a) or t == max_iter:
+                return residuals, copies, a, fx
+            threshold, checked = threshold / 10, t
+        if rejected:
+            _, f_origin, x_origin, _ = ring[origin]
+            copies, x, held, origin = list(f_origin.copy()), x_origin, 0, None
+            continue
+        ring[slot] = (g, f, fx, size)
+        for j, v in enumerate(row):
+            gram[slot][j] = gram[j][slot] = v
+        held += 1
+        count = min(held, memory)
+        origin = None
+        if count > 1:
+            others = [j for j in range(count) if j != slot]
+            m = [[gram[i][j] - gram[i][slot] - gram[j][slot] + gram[slot][slot] for j in others]
+                 for i in others]
+            b = [gram[slot][slot] - gram[i][slot] for i in others]
+            trace = sum(m[i][i] for i in range(len(others)))
+            alpha = None
+            if trace > 0.0:
+                for i in range(len(others)):
+                    m[i][i] += regularization * trace
+                gamma = _reference_gamma(m, b)
+                alpha = [0.0] * count
+                for j, v in zip(others, gamma):
+                    alpha[j] = v
+                alpha[slot] = 1.0 - sum(gamma)
+                if not sum(abs(v) for v in alpha) <= coefficient_cap:
+                    alpha = None
+            if alpha is not None:
+                fs = np.stack([ring[j][1] for j in range(count)]).reshape(count, -1)
+                nxt = np.dot(np.array(alpha), fs).reshape(f.shape)
+                move = (nxt - np.stack(copies)).reshape(-1)
+                if math.sqrt(move @ move) <= step_cap * size:
+                    copies, origin = list(nxt), slot
+                    if carry:
+                        x = sum(alpha[j] * ring[j][2] for j in range(count))
+                    continue
+            held = 0
+        copies, x = list(f), fx
+        if not checked:
+            held = 0
+    raise AssertionError("unreachable: the last sweep returns")

@@ -60,11 +60,12 @@ def test_one_thread_fit_runs():
 
 def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
     # The sweep looks each operator up as a module global at every call, so
-    # perfbench's prox.*_calls each count the sweeps, and the exit certificate
-    # calls nuclear_norm three times: once for the objective, twice for the
-    # dual value.  An operator bound before the loop would escape the tracer.
+    # perfbench's prox.*_calls each count the sweeps, a rejected extrapolation
+    # included, and each certificate built calls nuclear_norm four times: once
+    # for each of its two candidate points, twice for the dual value.  An
+    # operator bound before the loop would escape the tracer.
     sweep_ops = ("prox_l1", "project_linf_ball", "prox_nuclear", "project_spectral_ball")
-    calls = dict.fromkeys(sweep_ops + ("nuclear_norm",), 0)
+    calls = dict.fromkeys(sweep_ops + ("nuclear_norm", "_certificate"), 0)
 
     def counting(name):
         original = getattr(solver, name)
@@ -77,9 +78,10 @@ def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
     for name in calls:
         monkeypatch.setattr(solver, name, counting(name))
     center = np.random.default_rng(2).normal(size=(5, 8))
-    _, trace = solver.solve_subproblem(1, center, (5, 8), SolverConfig(lam=0.3, tau=1.0))
-    assert len(trace) > 0 and trace.certificate.exit == "converged"
-    assert calls == {**dict.fromkeys(sweep_ops, len(trace)), "nuclear_norm": 3}
+    _, trace = solver.solve_subproblem(1, center, (5, 8), SolverConfig(lam=0.3, tau=1.0, tol=1e-6))
+    assert len(trace) > 0 and trace.certificate.exit == "converged" and calls["_certificate"] > 1
+    assert calls == {**dict.fromkeys(sweep_ops, len(trace)), "nuclear_norm": 4 * calls["_certificate"],
+                     "_certificate": calls["_certificate"]}
 
 
 def test_traced_runs_match_plain_runs_and_count_every_sweep(spans):

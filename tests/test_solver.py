@@ -32,7 +32,7 @@ from sltr.solver import (
 )
 from sltr.tensor import Tensor, inner, unfold
 
-from oracles import ppxa_reference, same_bits
+from oracles import certified_ppxa_reference, ppxa_reference, same_bits
 
 
 def base_cfg(**kw):
@@ -194,15 +194,67 @@ class TestSubproblem:
         assert trace[4] > 1e6 * trace[0]
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
-    def test_smoothed_change_is_non_increasing(self, seed):
-        r = np.random.default_rng(seed)
-        center = r.normal(size=(6, 8))
+    def test_smoothed_change_is_non_increasing(self, seed, monkeypatch):
+        # The relaxed PPXA map is nonexpansive, so a plain step never makes
+        # the move longer, and an extrapolated point whose move is longer than
+        # that of the point it came from is rejected.  So the absolute
+        # residual of each accepted sweep is at most that of the accepted sweep
+        # before it, sweep by sweep, not only as a mean over ten sweeps.
+        sizes, extrapolated, add = [], [], solver._History.add
+
+        def recording(history, y, d):
+            f, size = add(history, y, d)
+            sizes.append(size)
+            extrapolated.append(history.count > 1)  # y came from a combination of points held
+            return f, size
+
+        monkeypatch.setattr(solver._History, "add", recording)
+        center = np.random.default_rng(seed).normal(size=(6, 8))
         cfg = base_cfg(lam=0.3, tau=1.0, tol=1e-12, max_iter=2000)
         _, trace = solve_subproblem(1, center, (6, 8), cfg)
-        rels = np.array(trace.residuals)
-        n_win = len(rels) // 10
-        windows = rels[: n_win * 10].reshape(n_win, 10).mean(axis=1)
-        assert np.all(np.diff(windows) <= 1e-10)
+        accepted = [sizes[0]] + [size for size, before, combined in zip(sizes[1:], sizes, extrapolated[1:])
+                                 if not (combined and size > before)]
+        assert trace.certificate.exit == "converged" and sum(extrapolated) > len(trace) / 2
+        assert np.all(np.diff(accepted) <= 1e-14 * sizes[0])
+
+    def test_the_step_cap_keeps_extrapolations_near(self, monkeypatch):
+        # Dataset 8 of the benchmark's cv_10x10x5 workload, cell (1, 1, 10):
+        # with no cap on the extrapolated step, the relative residual of
+        # modes 1 and 2 reached 3,148 and 135 on their way to the answer,
+        # and an earlier form of the loop overflowed there.
+        traces, solve = [], solver.solve_subproblem
+
+        def recording(*args):
+            w, trace = solve(*args)
+            traces.append(trace)
+            return w, trace
+
+        monkeypatch.setattr(solver, "solve_subproblem", recording)
+        ds, _ = generate(SimSpec(dims=(10, 10, 5), n=40, seed=8))
+        report = kfold_cv(ds, [(1.0, 1.0, 10.0)], SolverConfig(lam=1.0, tau=1.0), k=5, fold_seed=8)
+        assert report.failures == () and len(traces) == 15
+        assert all(t.certificate.exit in ("converged", "zero") and max(t.residuals, default=0.0) < 1.0
+                   for t in traces)
+
+    @pytest.mark.parametrize("radius", [1e-9, 1e-6])
+    def test_tiny_radii_exit_feasible_and_certified(self, radius):
+        # With the step at the centre's rms entry, 1e-9 stopped after one
+        # sweep 1.71 tau outside the spectral ball, and 1e-6 stalled there at
+        # any tol.  Now each exit is feasible to rounding, and it is
+        # converged only with a certified gap: here the centre's own bound
+        # ||c||_1 - mn lam + ||c||_* - min(m, n) tau certifies it.
+        center = np.random.default_rng(0).normal(size=(6, 8))
+        cfg = base_cfg(lam=radius, tau=radius, tol=1e-8, max_iter=20000)
+        w, trace = solve_subproblem(1, center, (6, 8), cfg)
+        cert = trace.certificate
+        _, _, g_inf, g_spec = objective_and_gaps(w, ConstraintCenter(center, radius, radius))
+        rounding = 4 * np.finfo(float).eps * float(np.max(np.abs(center)))
+        assert max(g_inf, g_spec, cert.linf_violation, cert.spectral_violation) <= rounding
+        if cert.exit == "converged":
+            assert 0.0 <= cert.gap <= cfg.tol * cert.objective
+        else:
+            assert cert.exit == "max_iter" and len(trace) == cfg.max_iter
+        assert cert.exit == "converged" and len(trace) <= 10
 
     def test_radii_past_the_double_range_at_unit_scale(self):
         center = np.random.default_rng(0).normal(size=(6, 8))
@@ -260,6 +312,11 @@ class TestSubproblem:
         )
 
 
+def c_sum(a):
+    """The sum of the entries of ``a`` in C order."""
+    return float(np.sum(np.ravel(a, order="C")))
+
+
 def l1_box_conjugate_reference(z, ctr):
     """Conjugate of ``||w||_1`` on the l-inf ball, at ``z``, with ``lam`` finite.
 
@@ -270,29 +327,51 @@ def l1_box_conjugate_reference(z, ctr):
     assert math.isfinite(ctr.lam)
     a, b = ctr.c - ctr.lam, ctr.c + ctr.lam
     ends = np.maximum(z * a - np.abs(a), z * b - np.abs(b))
-    return float(np.sum(np.where((a <= 0.0) & (b >= 0.0), np.maximum(ends, 0.0), ends)))
+    return c_sum(np.where((a <= 0.0) & (b >= 0.0), np.maximum(ends, 0.0), ends))
 
 
-def certificate_reference(x, y, p, ctr, step, exit):
-    """The exit certificate computed from its definition, one term at a time.
+def certificate_reference(y, p, ctr, step, tol, k):
+    """The exit ``(x, certificate)`` of a sweep, computed from its definition one term at a time.
 
     The terms are ``||w||_1`` on the l-inf ball, ``||w||_*`` and the spectral
-    ball's indicator; ``lam`` must be finite.
+    ball's indicator; ``lam`` must be finite.  ``x`` is the better, by
+    objective, of ``p1`` and ``p3`` each drawn along the segment to the
+    centre into both balls.  ``k`` is the unit-scale exponent of the centre,
+    at which the exit's rounding floor of ``c.size`` ulps of 2 is taken.
     """
-    objective = float(np.sum(np.abs(x))) + nuclear_norm(x)
+    best = None
+    for point in (p[0], p[2]):
+        d = point - ctr.c
+        theta = 1.0
+        if np.max(np.abs(d)) > ctr.lam:
+            theta = min(theta, ctr.lam / float(np.max(np.abs(d))))
+        if spectral_norm(d) > ctr.tau:
+            theta = min(theta, ctr.tau / spectral_norm(d))
+        x = ctr.c + theta * d if theta < 1.0 else point
+        objective = c_sum(np.abs(x)) + nuclear_norm(x)
+        if best is None or objective < best[0]:
+            best = objective, x
+    objective, x = best
     z = [(y_i - p_i) / step for y_i, p_i in zip(y, p)]
     z2 = z[1] / max(1.0, spectral_norm(z[1]))
     r = z[0] + z2 + z[2]
-    into_z1 = (-l1_box_conjugate_reference(z[0] - r, ctr) - float(np.sum(ctr.c * z[2]))
+    into_z1 = (-l1_box_conjugate_reference(z[0] - r, ctr) - c_sum(ctr.c * z[2])
                - ctr.tau * nuclear_norm(z[2]))
-    into_z3 = (-l1_box_conjugate_reference(z[0], ctr) + float(np.sum(ctr.c * (z[0] + z2)))
+    into_z3 = (-l1_box_conjugate_reference(z[0], ctr) + c_sum(ctr.c * (z[0] + z2))
                - ctr.tau * nuclear_norm(z[2] - r))
-    return solver.Certificate(
+    dual = max(into_z1, into_z3)
+    if objective - dual > tol * objective:
+        # ||w||_1 >= ||c||_1 - mn lam and ||w||_* >= ||c||_* - min(m, n) tau for every feasible w.
+        dual = max(dual, (c_sum(np.abs(ctr.c)) - ctr.c.size * ctr.lam)
+                   + (nuclear_norm(ctr.c) - min(ctr.c.shape) * ctr.tau))
+    gap = objective - dual
+    floor = math.ldexp(ctr.c.size, -50 - k)
+    return x, solver.Certificate(
         objective=objective,
         linf_violation=max(float(np.max(np.abs(x - ctr.c))) - ctr.lam, 0.0),
         spectral_violation=max(spectral_norm(x - ctr.c) - ctr.tau, 0.0),
-        gap=objective - max(into_z1, into_z3),
-        exit=exit,
+        gap=gap,
+        exit="converged" if 0.0 <= gap <= max(tol * objective, floor) else "max_iter",
     )
 
 
@@ -305,37 +384,30 @@ def _feasible_points(center, lam, tau, r):
     return points
 
 
-def carried_consensus_reference(center, ops, rho, tol, max_iter):
-    """PPXA as Combettes and Pesquet write it, the consensus iterate ``x`` carried.
-
-    Returns ``(x, sweeps)``; each sweep moves ``x`` by ``rho (mean(p) - x)``.
-    """
-    y = [np.array(center, dtype=float) for _ in ops]
-    x = np.array(center, dtype=float)
-    for sweep in range(1, max_iter + 1):
-        p = [op(v) for op, v in zip(ops, y)]
-        pbar = np.sum(p, axis=0) / len(ops)
-        steps = [2.0 * pbar - x - p_i for p_i in p]
-        residual = rho * np.linalg.norm(np.stack(steps)) / np.linalg.norm(np.stack(y))
-        y = [y_i + rho * s for y_i, s in zip(y, steps)]
-        x += rho * (pbar - x)
-        if residual <= tol:
-            break
-    return x, sweep
+def consensus_of_last_plain_step(y, p):
+    """The mean of the copies after the plain step of the sweep ``(y, p)``."""
+    y, p = np.stack(y), np.stack(p)
+    d = (2.0 * p.sum(axis=0) - y.sum(axis=0)) / 3 - p
+    return (y + solver._RHO * d).sum(axis=0) / 3
 
 
 class TestCertificate:
-    """The exit certificate against its definition, and against the primal problem."""
+    """The exit certificate and the certified loop against their definitions, and against the primal problem."""
+
+    CONSTANTS = (solver._FIRST_CHECK, solver._RECHECK, solver._MEMORY, solver._REGULARIZATION,
+                 solver._COEFFICIENT_CAP, solver._STEP_CAP)
 
     @staticmethod
     def _ops(center, cfg):
         """``(ctr, step, ops)`` of the three-copy splitting around ``center``."""
         ctr = ConstraintCenter(center, cfg.lam, cfg.tau)
         # The centre's rms entry, capped by the larger radius's rms entry and
-        # floored at one ulp of the centre's largest entry scaled into [1, 2).
+        # floored at one ulp of the centre's largest entry scaled into [1, 2),
+        # times the step factor.
         rms = float(np.linalg.norm(center)) / math.sqrt(center.size)
         floor = math.ldexp(2.0**-52, math.frexp(float(np.max(np.abs(center))))[1] - 1)
-        step = max(min(rms, max(cfg.lam, cfg.tau / math.sqrt(max(center.shape)))), floor)
+        step = solver._STEP_FACTOR * max(min(rms, max(cfg.lam, cfg.tau / math.sqrt(max(center.shape)))),
+                                         floor)
         ops = (
             lambda w: project_linf_ball(prox_l1(w, step), ctr),
             lambda w: prox_nuclear(w, step),
@@ -343,66 +415,129 @@ class TestCertificate:
         )
         return ctr, step, ops
 
-    def _reference(self, center, cfg):
+    def _reference(self, center, cfg, carry=False):
+        """``(x, residuals, certificate, carried)`` of the reference loop on ``center``."""
         ctr, step, ops = self._ops(center, cfg)
-        x, residuals, y, p = ppxa_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
-        exit = "converged" if residuals[-1] <= cfg.tol else "max_iter"
-        return x, residuals, certificate_reference(x, y, p, ctr, step, exit)
+        k = 1 - math.frexp(float(np.max(np.abs(center))))[1]
+
+        def certify(y, p):
+            return certificate_reference(y, p, ctr, step, cfg.tol, k)[1].exit == "converged"
+
+        residuals, y, p, carried = certified_ppxa_reference(
+            center, ops, solver._RHO, cfg.max_iter, certify, self.CONSTANTS, carry)
+        x, certificate = certificate_reference(y, p, ctr, step, cfg.tol, k)
+        return x, residuals, certificate, carried
+
+    @staticmethod
+    def _instance(kind):
+        r = np.random.default_rng(6 if kind in ("converged", "tight") else 5)
+        if kind == "full_rank":
+            return r.normal(size=(10, 50)), base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=40)
+        if kind == "rank_two":
+            # A rank-deficient centre.
+            return (r.normal(size=(10, 2)) @ r.normal(size=(2, 50)),
+                    base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=40))
+        if kind == "tight":
+            # An extrapolation is rejected at sweep 66 of 223.
+            return r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0, tol=1e-8, max_iter=2000)
+        return r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0)
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank_two"])
     def test_matches_direct_computation(self, kind, monkeypatch):
-        r = np.random.default_rng(5)
-        if kind == "full_rank":
-            center = r.normal(size=(10, 50))
-        else:
-            # A rank-deficient centre.
-            center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
-        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=150)
-        lapack = []
+        center, cfg = self._instance(kind)
+        lapack, per_certificate = [], []
         singular_values = sltr.linalg.singular_values
         monkeypatch.setattr(sltr.linalg, "singular_values",
                             lambda a: lapack.append(1) or singular_values(a))
+        certificate_of = solver._certificate
 
+        def counting(*args):
+            before = len(lapack)
+            out = certificate_of(*args)
+            per_certificate.append(len(lapack) - before)
+            return out
+
+        monkeypatch.setattr(solver, "_certificate", counting)
         w, trace = solve_subproblem(1, center, (10, 50), cfg)
         lapack_calls = len(lapack)
-        x, residuals, certificate = self._reference(center, cfg)
+        x, residuals, certificate, _ = self._reference(center, cfg)
 
         assert len(trace) == cfg.max_iter and trace.certificate.exit == "max_iter"
         assert trace.residuals == tuple(residuals)
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
-        # The spectral norms of x - c and z2, and the nuclear norms of x, z3 and z3 - r.
-        assert lapack_calls == 5
+        # Checks in mid-run, and the sweeps make no LAPACK call: each certificate
+        # takes the spectral norms of p1 - c and p3 - c, the nuclear norms of the
+        # two drawn-in points, the spectral norm of the chosen one's distance to
+        # c when it was drawn in, and the spectral norm of z2 and the nuclear
+        # norms of z3 and z3 - r; the first failed gap adds the centre's.
+        assert len(per_certificate) > 2 and sum(per_certificate) == lapack_calls
+        assert set(per_certificate) <= {7, 8, 9}
 
     def test_converged_run_matches_reference(self):
-        center = np.random.default_rng(6).normal(size=(6, 8))
-        cfg = base_cfg(lam=0.3, tau=1.0)
+        center, cfg = self._instance("converged")
         w, trace = solve_subproblem(1, center, (6, 8), cfg)
-        x, residuals, certificate = self._reference(center, cfg)
+        x, residuals, certificate, _ = self._reference(center, cfg)
         assert 1 < len(trace) < cfg.max_iter and trace.certificate.exit == "converged"
-        assert trace.residuals == tuple(residuals) and residuals[-1] <= cfg.tol
+        assert trace.residuals == tuple(residuals)
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
 
-    @pytest.mark.parametrize("kind", ["full_rank", "rank_two", "converged"])
-    def test_agrees_with_the_carried_consensus_recursion(self, kind):
+    def test_run_with_a_rejected_extrapolation_matches_reference(self, monkeypatch):
+        center, cfg = self._instance("tight")
+        rejected, add = [], solver._History.add
+
+        def recording(history, y, d):
+            f, size = add(history, y, d)
+            rejected.append(history.count > 1 and size > history.size[(history.count - 1) % solver._MEMORY])
+            return f, size
+
+        monkeypatch.setattr(solver._History, "add", recording)
+        w, trace = solve_subproblem(1, center, (6, 8), cfg)
+        x, residuals, certificate, _ = self._reference(center, cfg)
+        assert any(rejected) and trace.certificate.exit == "converged"
+        assert trace.residuals == tuple(residuals)
+        np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
+        assert repr(trace.certificate) == repr(certificate)
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_two", "converged", "tight"])
+    def test_agrees_with_the_carried_consensus_recursion(self, kind, monkeypatch):
         # The mean of the copies is the iterate that the paper's recursion
-        # carries.  Late residuals differ by rounding (cancellation in the
-        # step), so the sweeps and the answer are compared, not the residuals.
-        # The instances of the two tests above.
-        r = np.random.default_rng(6 if kind == "converged" else 5)
-        cfg = base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=150)
-        if kind == "full_rank":
-            center = r.normal(size=(10, 50))
-        elif kind == "rank_two":
-            center = r.normal(size=(10, 2)) @ r.normal(size=(2, 50))
-        else:
-            center, cfg = r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0)
-        w, trace = solve_subproblem(1, center, center.shape, cfg)
-        _, _, ops = self._ops(center, cfg)
-        x, sweeps = carried_consensus_reference(center, ops, solver._RHO, cfg.tol, cfg.max_iter)
-        assert len(trace) == sweeps
-        assert np.linalg.norm(w - x) <= 1e-13 * np.linalg.norm(x)
+        # carries, under extrapolation too.  Late residuals differ by rounding
+        # (cancellation in the step), so the sweeps and the consensus iterate
+        # of the last sweep are compared, not the residuals.  The instances
+        # of the two tests above.
+        center, cfg = self._instance(kind)
+        sweeps, certificate_of = [], solver._certificate
+        monkeypatch.setattr(solver, "_certificate",
+                            lambda problem, y, p, tol: sweeps.append((y.copy(), p))
+                            or certificate_of(problem, y, p, tol))
+        _, trace = solve_subproblem(1, center, center.shape, cfg)
+        k = 1 - math.frexp(float(np.max(np.abs(center))))[1]
+        x = np.ldexp(consensus_of_last_plain_step(*sweeps[-1]), -k)
+        _, residuals, _, carried = self._reference(center, cfg, carry=True)
+        assert len(trace) == len(residuals)
+        assert np.linalg.norm(x - carried) <= 1e-13 * np.linalg.norm(carried)
+
+    @pytest.mark.parametrize("seed", [1, 2, 6])
+    def test_certificate_does_not_depend_on_memory_layout(self, seed):
+        # np.sum of the same entries in C and in F order can differ in the
+        # last bit (it does for |c| at these seeds); the certificate's sums
+        # read every matrix in C order.
+        r = np.random.default_rng(seed)
+        center = r.normal(size=(9, 40))
+        assert float(np.sum(np.abs(center))) != float(np.sum(np.abs(np.asfortranarray(center))))
+        problem = solver._unit_problem(1, center, (9, 40), base_cfg(lam=0.2, tau=1.0))
+        y = np.stack([problem.ctr.c + 0.1 * r.normal(size=(9, 40)) for _ in range(3)])
+        p, _ = solver._sweep(problem, y)
+        exits = []
+        for order in "CF":
+            ctr = ConstraintCenter(np.asarray(problem.ctr.c, order=order), problem.ctr.lam,
+                                   problem.ctr.tau)
+            x, cert = solver._certificate(replace(problem, ctr=ctr), np.asarray(y, order=order),
+                                          np.asarray(p, order=order), 1e-2)
+            exits.append((x.tobytes(), repr(cert), objective_and_gaps(np.asarray(y[0], order=order), ctr)))
+        assert exits[0] == exits[1]
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -668,9 +803,10 @@ class TestFit:
         assert all(result.converged)
         for mode_trace, used in zip(result.trace, result.iterations_used):
             assert len(mode_trace) == used == len(mode_trace.residuals)
-            assert mode_trace.residuals[-1] <= cfg.tol
-            assert all(rel > cfg.tol for rel in mode_trace.residuals[:-1])
-            assert mode_trace.certificate.exit == "converged"
+            cert = mode_trace.certificate
+            assert cert.exit == "converged"
+            # Converged means certified: the gap is a true bound within tol of the objective.
+            assert 0.0 <= cert.gap <= cfg.tol * cert.objective
 
     def test_max_iter_exit_reports_not_converged(self):
         ds = self._dataset(seed=7)
@@ -702,20 +838,18 @@ class TestFit:
 
     def test_seed0_fit_meets_its_constraints(self, seed0_fits):
         # Stopping on the consensus iterate alone let mode 3 stop at sweep 4,
-        # outside its spectral ball by 2.31.
+        # outside its spectral ball by 2.31; stopping on the residual left it
+        # 0.0029 outside.  Each answer is now drawn into both balls, so every
+        # violation is rounding of the radius 1.
         bb, fits = seed0_fits
-        worst = {}
         for tol, result in fits.items():
-            gaps = []
             for m, (w_m, cert) in enumerate(zip(result.per_mode, result.certificates), start=1):
                 ctr = ConstraintCenter(unfold(bb.tensor, m), 1.0, 1.0)
                 _, _, g_inf, g_spec = objective_and_gaps(unfold(w_m, m), ctr)
                 assert (max(g_inf, 0.0), max(g_spec, 0.0)) == (
                     cert.linf_violation, cert.spectral_violation)
-                gaps += [g_inf, g_spec]
-            worst[tol] = max(gaps)
-        assert worst[1e-3] <= 0.02
-        assert worst[1e-4] <= worst[1e-3] / 5
+                assert max(g_inf, g_spec) <= 4 * np.finfo(float).eps
+                assert cert.exit == "converged" and 0.0 <= cert.gap <= tol * cert.objective
 
 
 class TestGramReuse:

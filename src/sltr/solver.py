@@ -45,38 +45,78 @@ power of two scales every iterate by it exactly.  The cap binds only where
 both radii are below the centre's entry size: on a 6 x 8 normal centre
 (seed 21) with lambda = tau = 1e-6, the uncapped step ran 20,000 sweeps to
 ``max_iter`` and stopped 1.7 tau outside the spectral ball.  The factor is
-the power of two that stops soonest at equal certified accuracy.  Measured
-under the loop below on the seed-0 30x30x10 fit at lambda = tau = 1 (sweeps
-of modes 1/2/3, CPU median of 11 fits) and a 5-fold CV over the nine cells
-of the benchmark's 10x10x5 datasets 0-2 (sweeps, and the swept solves more
-than 1% from their ``tol`` 1e-10 answer):
+the power of two that stops soonest at equal certified accuracy.  The tables
+below were measured under the loop below, at the default ``tol``, on two
+sets of mode solves.  "CV" is every swept solve of a 5-fold CV over the
+nine cells of the benchmark's 10x10x5 datasets 0-2 (279 solves at the
+factor that ships); "fit" is modes 1-3 of the 30x30x10, n = 720 fits of
+seeds 0-1 at (lambda, tau) = (1, 1), (0.1, 1), (1, 0.1) and (0.3, 3), 24
+solves; "seed 0" gives the sweeps of modes 1/2/3 of the seed-0 fit at
+(1, 1), the benchmark's fit.  "Off" counts the solves more than 1% (relative
+Frobenius norm) from the same solve at ``tol`` 1e-10, and "worst" is the
+largest such distance:
 
-STEP_TABLE
+    ======  =========  ======  =====  ========  ==========  =======  =====
+    factor  CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
+    ======  =========  ======  =====  ========  ==========  =======  =====
+    1       9,490      10      3.4%   13/13/14  420         4        1.05%
+    2**-1   7,715      6       1.4%   16/16/12  449         2        1.08%
+    2**-2   6,905      0       0.9%   21/21/11  523         0        0.70%
+    2**-3   8,464      4       1.3%   32/33/13  700         0        0.79%
+    ======  =========  ======  =====  ========  ==========  =======  =====
+
+A factor of 2**-1 makes the seed-0 fit 9 sweeps shorter, but leaves two fit
+solves more than 1% off; 2**-2 is the larger factor that keeps them all
+within 1%.
 
 **The stop and the answer.**  A solve ends when it can prove its answer is
 good: ``tol`` is a relative duality gap.  The residual only says when to
-look.  The first :class:`Certificate` is built when the relative residual
-``rho ||d|| / ||y||`` (Frobenius norms over all three copies) reaches
-``_FIRST_CHECK``; a failed check divides that threshold by 10 and is made
-again, whatever the residual, once the sweep count reaches 1.5 times its
-own (Boyd et al., Found. Trends ML 3, 2011, section 3.3).  A certificate
-costs about eight small spectral computations, a few sweeps' worth, so it
-is not built every sweep.  The answer is feasible: of the prox points of
-the two constrained terms, ``p1`` (in the l-infinity ball) and ``p3`` (in
-the spectral ball), each is drawn along its segment to the centre into
-both balls, and the one with the smaller objective is returned.  Its
-violations are rounding, and its gap is a true bound on how far its
-objective lies above the optimum.  The dual point is ``z_i = (y_i - p_i) /
-step`` of the same sweep, made feasible; where the radii are too small for
-it to resolve, the centre's own bound ``||c||_1 - mn lambda + ||c||_* -
-min(m, n) tau`` certifies instead.  The mean of the copies, PPXA's
-consensus iterate, would be a worse answer: drawn into both balls, its
-objective exceeded the better ``p_i``'s by up to 27% at the first check of
-the seed-0 fit at (lambda, tau) = (0.3, 3).  Measured as above, the fit
-solves being modes 1-3 of seeds 0-1 at (lambda, tau) = (1, 1), (0.1, 1),
-(1, 0.1) and (0.3, 3), and distances to the ``tol`` 1e-10 answer:
+look (Boyd et al., Found. Trends ML 3, 2011, section 3.3).  The first
+:class:`Certificate` is built when the relative residual ``rho ||d|| /
+||y||`` (Frobenius norms over all three copies) reaches ``_FIRST_CHECK``.
+A check that fails with gap ``G`` is made again when the residual reaches
+its own times ``_NEXT_CHECK * tol * objective / G`` (the ratio taken within
+[0.02, 1]), because the gap falls about as fast as the residual; or,
+whatever the residual, at ``_RECHECK`` times its sweep, because a residual
+can stall above its threshold while the gap would pass (without the
+recheck, the 6 x 8 centre of ``default_rng(0)`` at lambda = tau = 1e-6
+stalled at 1.07e-8 for eight sweeps and stopped at sweep 19, not 8).  A
+certificate costs about eight small spectral computations, a
+few sweeps' worth, so it is not built every sweep.  The answer is feasible:
+of the prox points of the two constrained terms, ``p1`` (in the l-infinity
+ball) and ``p3`` (in the spectral ball), each is drawn along its segment to
+the centre into both balls, to ``c + theta (p_i - c)`` with ``theta = min(1,
+lambda / ||p_i - c||_inf, tau / ||p_i - c||_spec)``, and the one with the
+smaller objective is returned.  Its violations are rounding, and its gap is
+a true bound on how far its objective lies above the optimum.  The dual
+point is ``z_i = (y_i - p_i) / step`` of the same sweep, made feasible;
+where the radii are too small for it to resolve, the centre's own bound
+``||c||_1 - mn lambda + ||c||_* - min(m, n) tau`` certifies instead.  The
+mean of the copies, PPXA's consensus iterate, would be a worse answer:
+drawn into both balls, its objective exceeded the better ``p_i``'s by up to
+27% at the first check of the seed-0 fit at (lambda, tau) = (0.3, 3).
+Measured as above; the first row is the loop this one replaced (stop at a
+relative residual of 1e-3, return the mean of the copies, step factor 1):
 
-STOP_TABLE
+    =====================  =========  ======  =====  ========  ==========  =======  =====
+    stop                   CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
+    =====================  =========  ======  =====  ========  ==========  =======  =====
+    residual 1e-3          12,510     38      18.8%  28/29/34  847         0        0.15%
+    ``tol`` 1e-2           6,590      6       1.7%   18/18/11  463         2        1.26%
+    ``tol`` 5e-3, shipped  6,905      0       0.9%   21/21/11  523         0        0.70%
+    ``tol`` 2e-3           7,792      0       0.7%   26/26/14  591         0        0.41%
+    first check at 1e-1    5,660      133     2.1%   21/21/10  443         0        0.74%
+    first check at 1e-2    8,725      2       1.9%   20/23/16  611         0        0.46%
+    first check at 3e-3    10,691     2       1.6%   21/22/22  719         0        0.45%
+    next check 10x lower   7,119      6       2.0%   21/22/11  523         2        1.18%
+    no recheck             7,179      0       0.9%   21/21/11  523         0        0.70%
+    recheck at 1.5x        6,754      7       3.1%   23/23/11  526         0        0.95%
+    answer ``p1`` alone    8,373      0       0.8%   24/25/14  607         0        0.57%
+    answer ``p3`` alone    8,381      0       0.9%   21/21/11  684         0        0.70%
+    =====================  =========  ======  =====  ========  ==========  =======  =====
+
+The default ``tol`` is 5e-3: at 1e-2, mode 3 of both fits at (0.3, 3) stops
+1.2-1.3% from its optimum.
 
 **Extrapolation.**  After its first failed check, a solve extrapolates with
 type-II Anderson acceleration of the plain step (Zhang, O'Donoghue & Boyd,
@@ -88,18 +128,33 @@ move is longer than that of the point it came from is rejected for that
 point's plain step, and the history restarts; so is an extrapolation whose
 coefficients are not finite or sum above 1e4 in absolute value, or whose
 step is longer than ten plain steps (without that cap, CV dataset 8's cell
-(1, 1, 10) drove the relative residual to 3,148).  Every sweep, rejected or
+(1, 1, 10) drove the relative residual to 1,582).  Every sweep, rejected or
 not, calls each operator once and appends one residual.  Before the first
 check the solve takes plain steps: most solves certify at that check, and
-the history's bookkeeping would only slow their sweeps.  Measured as above
-(CV CPU the least of three calls on each of datasets 0-2):
+the history's bookkeeping would only slow their sweeps.  It saves few
+sweeps here, 3% at the default ``tol`` and 6-9% at ``tol`` 1e-4, because
+most solves stop at their first or second check.  Measured as above
+(memory 1 takes plain steps only):
 
-ANDERSON_TABLE
+    ======  =========  ==========  =================  ==================
+    memory  CV sweeps  fit sweeps  CV sweeps at 1e-4  fit sweeps at 1e-4
+    ======  =========  ==========  =================  ==================
+    1       7,105      542         15,164             980
+    2       7,171      541
+    3       6,905      523         14,252             889
+    5       6,853      518         13,819             869
+    ======  =========  ==========  =================  ==================
 
 ``rho`` is fixed at 1.5: over-relaxation (``rho`` in (1, 2)) leaves the fixed
 points unchanged.  Measured under this loop, as above:
 
-RHO_TABLE
+    ===  =========  ======  =====  ========  ==========  =======  =====
+    rho  CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
+    ===  =========  ======  =====  ========  ==========  =======  =====
+    1.0  7,497      56      2.1%   25/25/12  579         0        0.81%
+    1.5  6,905      0       0.9%   21/21/11  523         0        0.70%
+    1.8  9,322      0       0.8%   21/22/16  686         2        1.17%
+    ===  =========  ======  =====  ========  ==========  =======  =====
 
 The mode subproblems are independent, so they may run on mode threads.
 These are opt-in (``fit(..., threads=k)`` or the CLI's ``--threads k``) and
@@ -171,11 +226,12 @@ _DIVERGENCE_FACTOR = 1e6
 _RHO = 1.5  # the relaxation factor; see the module notes
 _STEP_FACTOR = 0.25  # times the step rule of the module notes; a power of two
 _FIRST_CHECK = 3e-2  # the residual at which a solve first builds its certificate
+_NEXT_CHECK = 0.5  # a failed check's share of its gap to aim the next at; see the module notes
+_RECHECK = 3  # a failed check is made again, whatever the residual, at this multiple of its sweep
 _MEMORY = 3  # points combined by an extrapolation
 _REGULARIZATION = 1e-8  # times the trace of an extrapolation's normal matrix
 _COEFFICIENT_CAP = 1e4  # on the l1 norm of an extrapolation's coefficients
 _STEP_CAP = 10.0  # on an extrapolated step, in plain steps
-_RECHECK = 1.5  # a failed check is made again, whatever the residual, at this multiple of its sweep
 
 
 @dataclass(frozen=True)
@@ -197,7 +253,7 @@ class SolverConfig:
     tau: float
     epsilon: float = 1.0
     max_iter: int = 1000
-    tol: float = 1e-2
+    tol: float = 5e-3
 
     def __post_init__(self):
         for name, value in zip(("lambda", "tau", "epsilon", "tol"),
@@ -352,7 +408,9 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
             w, certificate = _certificate(problem, y, p, cfg.tol)
             if certificate.exit == "converged" or t == cfg.max_iter:
                 break
-            threshold, checked = threshold / 10, t
+            # The gap falls about as fast as the residual: aim at _NEXT_CHECK of tol.
+            share = cfg.tol * certificate.objective / certificate.gap if certificate.gap > 0.0 else 0.0
+            threshold, checked = rel * _NEXT_CHECK * min(1.0, max(0.02, share)), t
         if rejected:  # back to the plain step from the point the extrapolation came from
             y[...] = history.f[origin]
             history.restart()
@@ -361,7 +419,10 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
             y, origin = history.extrapolate(y, f, size)
             if not checked:
                 history.restart()  # plain steps, and no history, until the first failed check
-    return w, ModeTrace(tuple(residuals), certificate)
+    with np.errstate(over="ignore"):
+        fields = np.ldexp([certificate.objective, certificate.linf_violation,
+                           certificate.spectral_violation, certificate.gap], -problem.k).tolist()
+    return np.ldexp(w, -problem.k), ModeTrace(tuple(residuals), Certificate(*fields, certificate.exit))
 
 
 def _unit_problem(m, center, dims, cfg) -> _UnitProblem | None:
@@ -392,7 +453,7 @@ def _sweep(problem: _UnitProblem, y: np.ndarray):
 
 
 def _certificate(problem: _UnitProblem, y, p, tol: float):
-    """``(x, certificate)`` after the sweep ``(y, p)``; ``x`` is scaled back.
+    """``(x, certificate)`` at unit scale after the sweep ``(y, p)``.
 
     ``x`` is feasible: of the prox points of the two constrained terms,
     ``p1`` in the l-infinity ball and ``p3`` in the spectral ball, each is
@@ -402,7 +463,7 @@ def _certificate(problem: _UnitProblem, y, p, tol: float):
     gap <= tol * objective`` (or the gap is within ``c.size`` ulps of 2, the
     rounding of an objective near 0), and ``"max_iter"`` otherwise.
     """
-    ctr, k = problem.ctr, problem.k
+    ctr = problem.ctr
     z = (y - p) / problem.step  # z_i lies in the subdifferential of term i at p_i
     best = None
     for x in (p[0], p[2]):
@@ -423,10 +484,7 @@ def _certificate(problem: _UnitProblem, y, p, tol: float):
         lower = max(lower, problem.bound)
     gap = objective - lower
     exit = "converged" if 0.0 <= gap <= max(tol * objective, math.ldexp(ctr.c.size, -50)) else "max_iter"
-    with np.errstate(over="ignore"):
-        fields = np.ldexp([objective, max(norms[0] - ctr.lam, 0.0), max(norms[1] - ctr.tau, 0.0),
-                           gap], -k).tolist()
-    return np.ldexp(x, -k), Certificate(*fields, exit)
+    return x, Certificate(objective, max(norms[0] - ctr.lam, 0.0), max(norms[1] - ctr.tau, 0.0), gap, exit)
 
 
 class _History:

@@ -162,12 +162,14 @@ def certified_ppxa_reference(center, ops, rho, max_iter, certify, constants, car
     """The certified, accelerated PPXA loop of ``sltr.solver``, one copy at a time.
 
     A sweep's copies ``y`` move to the plain step ``f = y + rho * step``.
-    ``certify(y, p)`` says whether the certificate of the sweep with copies
-    ``y`` and operator outputs ``p`` converges; it is asked when the
-    relative residual reaches the threshold, first ``first_check`` and ten
-    times smaller after each failed check, or when the sweep count reaches
+    ``certify(y, p)`` returns, for the certificate of the sweep with copies
+    ``y`` and operator outputs ``p``, whether it converges and the ratio
+    ``tol * objective / gap`` (0 for a gap <= 0).  It is asked when the
+    relative residual reaches the threshold, when the sweep count reaches
     ``recheck`` times that of the last failed check, and at the last sweep.
-    Until the first failed check every sweep takes its plain step.  After
+    The threshold is ``first_check``; after a failed check it is that
+    check's residual times ``next_check`` times the ratio, the ratio taken
+    within ``[0.02, 1]``.  Until the first failed check every sweep takes its plain step.  After
     it, each point's ``g = rho * step`` and ``f`` join a ring of ``memory``
     slots, and the next point is the combination ``sum_j alpha_j f_j`` with
     ``sum_j alpha_j = 1`` that minimises ``||sum_j alpha_j g_j||``, the
@@ -176,8 +178,9 @@ def certified_ppxa_reference(center, ops, rho, max_iter, certify, constants, car
     ``step_cap`` plain steps: then the plain step, and the ring restarts.
     An extrapolated point whose ``||g||`` exceeds that of the point it came
     from is rejected: the next point is that point's plain step, and the
-    ring restarts.  ``constants`` is ``(first_check, recheck, memory,
-    regularization, coefficient_cap, step_cap)``, ``memory`` at most 3.
+    ring restarts.  ``constants`` is ``(first_check, next_check, recheck,
+    memory, regularization, coefficient_cap, step_cap)``, ``memory`` at most
+    3.
 
     The inner products and combinations are taken over the stacked copies,
     in ring order, as the package takes them, so the run agrees bit for bit.
@@ -187,7 +190,7 @@ def certified_ppxa_reference(center, ops, rho, max_iter, certify, constants, car
     sweep, the copies and operator outputs of the last sweep, and the
     carried consensus iterate of its plain step (``None`` without ``carry``).
     """
-    first_check, recheck, memory, regularization, coefficient_cap, step_cap = constants
+    first_check, next_check, recheck, memory, regularization, coefficient_cap, step_cap = constants
     assert memory <= 3
     n = len(ops)
     copies = [np.array(center, dtype=float) for _ in range(n)]
@@ -211,9 +214,11 @@ def certified_ppxa_reference(center, ops, rho, max_iter, certify, constants, car
         rejected = origin is not None and size > ring[origin][3]
         due = residuals[-1] <= threshold or (checked and t >= recheck * checked)
         if (due and not rejected) or t == max_iter:
-            if certify(copies, a) or t == max_iter:
+            converged, ratio = certify(copies, a)
+            if converged or t == max_iter:
                 return residuals, copies, a, fx
-            threshold, checked = threshold / 10, t
+            ratio = min(1.0, ratio) if ratio > 0.02 else 0.02
+            threshold, checked = residuals[-1] * next_check * ratio, t
         if rejected:
             _, f_origin, x_origin, _ = ring[origin]
             copies, x, held, origin = list(f_origin.copy()), x_origin, 0, None

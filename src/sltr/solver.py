@@ -22,13 +22,13 @@ Douglas-Rachford splitting on the product of the copies, so the plain step
 whole state in one step (its fixed-point residual) never increases, and it
 is zero exactly at a fixed point, where every ``p_i`` is a minimiser.
 
-The solve has four parts.  ``_unit_problem`` brings the centre's largest
+The solve has three parts.  ``_unit_problem`` brings the centre's largest
 entry into [1, 2) by a power of two, radii with it, so no norm of a huge or
 tiny centre overflows or underflows, tests for the answer 0 and takes the
-step; ``_sweep`` runs one sweep; ``_certificate`` picks a feasible answer,
-certifies it and scales it back; ``_History`` extrapolates.  Other solve
-loops keep the sweep and replace one thing: the step (adapt it), the first
-``y`` (warm start) or the loop (batch).
+step; ``_sweep`` runs one sweep; ``_certificate`` picks a feasible answer
+and certifies it, and the loop scales it back.  Other solve loops keep the
+sweep and replace one thing: the step (adapt it), the first ``y`` (warm
+start) or the loop (batch).
 
 **The step.**  The prox step of the norm terms changes how fast the iterates
 reach a fixed point, not which one, so it is not a setting: it is taken from
@@ -46,8 +46,8 @@ both radii are below the centre's entry size: on a 6 x 8 normal centre
 (seed 21) with lambda = tau = 1e-6, the uncapped step ran 20,000 sweeps to
 ``max_iter`` and stopped 1.7 tau outside the spectral ball.  The factor is
 the power of two that stops soonest at equal certified accuracy.  The tables
-below were measured under the loop below, at the default ``tol``, on two
-sets of mode solves.  "CV" is every swept solve of a 5-fold CV over the
+below were measured under the loop below, at the default ``tol``, by
+``python3 tools/accuracy_audit.py`` on two sets of mode solves.  "CV" is every swept solve of a 5-fold CV over the
 nine cells of the benchmark's 10x10x5 datasets 0-2 (279 solves at the
 factor that ships); "fit" is modes 1-3 of the 30x30x10, n = 720 fits of
 seeds 0-1 at (lambda, tau) = (1, 1), (0.1, 1), (1, 0.1) and (0.3, 3), 24
@@ -59,15 +59,16 @@ largest such distance:
     ======  =========  ======  =====  ========  ==========  =======  =====
     factor  CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
     ======  =========  ======  =====  ========  ==========  =======  =====
-    1       9,490      10      3.4%   13/13/14  420         4        1.05%
-    2**-1   7,715      6       1.4%   16/16/12  449         2        1.08%
-    2**-2   6,905      0       0.9%   21/21/11  523         0        0.70%
-    2**-3   8,464      4       1.3%   32/33/13  700         0        0.79%
+    1       9,820      11      3.38%  13/13/14  425         4        1.05%
+    2**-1   7,929      5       1.35%  16/19/12  452         2        1.08%
+    2**-2   7,105      0       0.90%  21/21/11  542         0        0.47%
+    2**-3   8,844      1       1.15%  32/33/17  744         0        0.45%
     ======  =========  ======  =====  ========  ==========  =======  =====
 
-A factor of 2**-1 makes the seed-0 fit 9 sweeps shorter, but leaves two fit
-solves more than 1% off; 2**-2 is the larger factor that keeps them all
-within 1%.
+A factor of 2**-1 makes the seed-0 fit 6 sweeps shorter, but leaves five CV
+and two fit solves more than 1% off; 2**-2 is the larger factor that keeps
+them all within 1%.  (At factor 1, one of the 279 CV solves at ``tol``
+1e-10 had not converged by 200,000 sweeps.)
 
 **The stop and the answer.**  A solve ends when it can prove its answer is
 good: ``tol`` is a relative duality gap.  The residual only says when to
@@ -79,8 +80,10 @@ its own times ``_NEXT_CHECK * tol * objective / G`` (the ratio taken within
 [0.02, 1]), because the gap falls about as fast as the residual; or,
 whatever the residual, at ``_RECHECK`` times its sweep, because a residual
 can stall above its threshold while the gap would pass (without the
-recheck, the 6 x 8 centre of ``default_rng(0)`` at lambda = tau = 1e-6
-stalled at 1.07e-8 for eight sweeps and stopped at sweep 19, not 8).  A
+recheck, the 6 x 8 centre of ``default_rng(0)`` at lambda = tau = 1e-6 and
+``tol`` 1e-8 fails its first check at sweep 1, and its residual, falling 13%
+a sweep, reaches the next threshold only at sweep 23; the recheck stops it at
+sweep 9).  A
 certificate costs about eight small spectral computations, a
 few sweeps' worth, so it is not built every sweep.  The answer is feasible:
 of the prox points of the two constrained terms, ``p1`` (in the l-infinity
@@ -95,46 +98,43 @@ where the radii are too small for it to resolve, the centre's own bound
 mean of the copies, PPXA's consensus iterate, would be a worse answer:
 drawn into both balls, its objective exceeded the better ``p_i``'s by up to
 27% at the first check of the seed-0 fit at (lambda, tau) = (0.3, 3).
-Measured as above; the first row is the loop this one replaced (stop at a
-relative residual of 1e-3, return the mean of the copies, step factor 1):
+Measured as above.  The first row is the older loop that the certified
+stop replaced (stop at a relative residual of 1e-3, return the mean of the
+copies, step factor 1), as measured on that loop, not again since; "next
+check at rel/10" sets the threshold after a failed check to a tenth of its
+residual, whatever its gap:
 
     =====================  =========  ======  =====  ========  ==========  =======  =====
     stop                   CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
     =====================  =========  ======  =====  ========  ==========  =======  =====
     residual 1e-3          12,510     38      18.8%  28/29/34  847         0        0.15%
-    ``tol`` 1e-2           6,590      6       1.7%   18/18/11  463         2        1.26%
-    ``tol`` 5e-3, shipped  6,905      0       0.9%   21/21/11  523         0        0.70%
-    ``tol`` 2e-3           7,792      0       0.7%   26/26/14  591         0        0.41%
-    first check at 1e-1    5,660      133     2.1%   21/21/10  443         0        0.74%
-    first check at 1e-2    8,725      2       1.9%   20/23/16  611         0        0.46%
-    first check at 3e-3    10,691     2       1.6%   21/22/22  719         0        0.45%
-    next check 10x lower   7,119      6       2.0%   21/22/11  523         2        1.18%
-    no recheck             7,179      0       0.9%   21/21/11  523         0        0.70%
-    recheck at 1.5x        6,754      7       3.1%   23/23/11  526         0        0.95%
-    answer ``p1`` alone    8,373      0       0.8%   24/25/14  607         0        0.57%
-    answer ``p3`` alone    8,381      0       0.9%   21/21/11  684         0        0.70%
+    ``tol`` 1e-2           6,810      2       1.04%  18/18/11  475         0        0.96%
+    ``tol`` 5e-3, shipped  7,105      0       0.90%  21/21/11  542         0        0.47%
+    ``tol`` 2e-3           8,078      0       0.71%  26/26/22  638         0        0.25%
+    first check at 1e-1    5,845      133     2.12%  21/21/15  465         0        0.74%
+    first check at 1e-2    8,960      1       1.94%  20/23/16  625         0        0.46%
+    first check at 3e-3    10,871     2       1.60%  21/22/22  732         0        0.45%
+    next check at rel/10   7,541      0       0.97%  22/22/11  628         0        0.44%
+    no recheck             7,385      0       0.71%  21/21/11  542         0        0.47%
+    recheck at 1.5x        6,971      2       3.09%  23/23/11  542         0        0.53%
+    answer ``p1`` alone    8,801      0       0.85%  24/25/19  689         0        0.41%
+    answer ``p3`` alone    9,264      0       0.90%  21/21/11  716         0        0.47%
     =====================  =========  ======  =====  ========  ==========  =======  =====
 
-The default ``tol`` is 5e-3: at 1e-2, mode 3 of both fits at (0.3, 3) stops
-1.2-1.3% from its optimum.
+The default ``tol`` is 5e-3, the largest here that leaves no solve more than
+1% off: at 1e-2, two CV solves stop up to 1.04% from their optimum.
 
-**Extrapolation.**  After its first failed check, a solve extrapolates with
-type-II Anderson acceleration of the plain step (Zhang, O'Donoghue & Boyd,
-SIAM J. Optim. 30, 2020): the next point combines the plain steps ``f_j``
-of the last three points so that the same combination of their moves
-``g_j`` is shortest (see :class:`_History`).  It is safeguarded.  The
-divergence checks run first on every sweep.  An extrapolated point whose
-move is longer than that of the point it came from is rejected for that
-point's plain step, and the history restarts; so is an extrapolation whose
-coefficients are not finite or sum above 1e4 in absolute value, or whose
-step is longer than ten plain steps (without that cap, CV dataset 8's cell
-(1, 1, 10) drove the relative residual to 1,582).  Every sweep, rejected or
-not, calls each operator once and appends one residual.  Before the first
-check the solve takes plain steps: most solves certify at that check, and
-the history's bookkeeping would only slow their sweeps.  It saves few
-sweeps here, 3% at the default ``tol`` and 6-9% at ``tol`` 1e-4, because
-most solves stop at their first or second check.  Measured as above
-(memory 1 takes plain steps only):
+**No extrapolation.**  Each sweep takes the plain step ``y -> y + rho d``.
+An earlier loop extrapolated once a solve's first check had failed, by
+safeguarded type-II Anderson acceleration of that step (Zhang, O'Donoghue &
+Boyd, SIAM J. Optim. 30, 2020) over its last ``memory`` points.  It saved
+few sweeps, 3% at the default ``tol`` and 6-9% at ``tol`` 1e-4, because
+most solves stop at their first or second check, before a history can pay:
+the first check comes where the gap is usually within ``tol`` already, and
+a failed check aims the next at its own gap.  Of the 279 CV solves, 225
+stop at their first check and 46 at their second; of the 24 fit solves, 12
+and 9.  Measured as above; memory 1 is this loop, and the other rows were
+measured on that loop, not again since:
 
     ======  =========  ==========  =================  ==================
     memory  CV sweeps  fit sweeps  CV sweeps at 1e-4  fit sweeps at 1e-4
@@ -145,15 +145,21 @@ most solves stop at their first or second check.  Measured as above
     5       6,853      518         13,819             869
     ======  =========  ==========  =================  ==================
 
+Its bookkeeping cost more CPU than its sweeps saved: without it, three
+nine-cell 5-fold CV calls (datasets 0-2) take 14% less CPU, 1.073 s against
+1.251 s, and 20 seed-0 fits at (1, 1) 9% less, 1.061 s against 1.171 s
+(medians of five alternating pairs, BLAS at one thread, a shared 2-core
+host).
+
 ``rho`` is fixed at 1.5: over-relaxation (``rho`` in (1, 2)) leaves the fixed
-points unchanged.  Measured under this loop, as above:
+points unchanged.  Measured as above:
 
     ===  =========  ======  =====  ========  ==========  =======  =====
     rho  CV sweeps  CV off  worst  seed 0    fit sweeps  fit off  worst
     ===  =========  ======  =====  ========  ==========  =======  =====
-    1.0  7,497      56      2.1%   25/25/12  579         0        0.81%
-    1.5  6,905      0       0.9%   21/21/11  523         0        0.70%
-    1.8  9,322      0       0.8%   21/22/16  686         2        1.17%
+    1.0  7,994      56      2.09%  25/25/12  627         0        0.69%
+    1.5  7,105      0       0.90%  21/21/11  542         0        0.47%
+    1.8  9,878      0       0.76%  22/23/16  701         2        1.17%
     ===  =========  ======  =====  ========  ==========  =======  =====
 
 The mode subproblems are independent, so they may run on mode threads.
@@ -228,10 +234,6 @@ _STEP_FACTOR = 0.25  # times the step rule of the module notes; a power of two
 _FIRST_CHECK = 3e-2  # the residual at which a solve first builds its certificate
 _NEXT_CHECK = 0.5  # a failed check's share of its gap to aim the next at; see the module notes
 _RECHECK = 3  # a failed check is made again, whatever the residual, at this multiple of its sweep
-_MEMORY = 3  # points combined by an extrapolation
-_REGULARIZATION = 1e-8  # times the trace of an extrapolation's normal matrix
-_COEFFICIENT_CAP = 1e4  # on the l1 norm of an extrapolation's coefficients
-_STEP_CAP = 10.0  # on an extrapolated step, in plain steps
 
 
 @dataclass(frozen=True)
@@ -380,45 +382,34 @@ def solve_subproblem(m: int, center: np.ndarray, dims, cfg: SolverConfig):
     the power of two that brings its largest entry into [1, 2), radii with
     it, and ``w`` and the certificate are scaled back: the answer is exactly
     the unit-scale answer scaled, and a certificate field too large for a
-    double is ``inf``.  Its parts are ``_unit_problem``, ``_sweep``,
-    ``_certificate`` and ``_History``.
+    double is ``inf``.  Its parts are ``_unit_problem``, ``_sweep`` and
+    ``_certificate``.
     """
     problem = _unit_problem(m, center, dims, cfg)
     if problem is None:
         return np.zeros_like(center, float), ModeTrace((), Certificate(0.0, 0.0, 0.0, 0.0, "zero"))
     y = np.stack([problem.ctr.c] * 3)
-    history = _History(y.shape)
     residuals = []
     threshold, checked = _FIRST_CHECK, 0  # checked: the sweep of the last failed check
-    origin = None  # the history slot of the point an extrapolated y came from
     for t in range(1, cfg.max_iter + 1):
         p, d = _sweep(problem, y)
-        f, size = history.add(y, d)  # the plain step y + rho d, and ||rho d||
-        flat = y.reshape(-1)
-        rel = size / math.sqrt(flat @ flat)
+        d *= _RHO  # the plain step's move, rho d
+        flat, move = y.reshape(-1), d.reshape(-1)
+        rel = math.sqrt(move @ move) / math.sqrt(flat @ flat)
         if not math.isfinite(rel):
             raise DivergenceError(f"mode {m}: non-finite residual at iteration {t}", residuals)
         residuals.append(rel)
         if rel > _DIVERGENCE_FACTOR * residuals[0]:
             raise DivergenceError(f"mode {m}: residual grew {rel / residuals[0]:.1e}-fold by "
                                   f"iteration {t}", residuals)
-        rejected = origin is not None and size > history.size[origin]
-        due = rel <= threshold or (checked and t >= _RECHECK * checked)
-        if (due and not rejected) or t == cfg.max_iter:
+        if rel <= threshold or (checked and t >= _RECHECK * checked) or t == cfg.max_iter:
             w, certificate = _certificate(problem, y, p, cfg.tol)
             if certificate.exit == "converged" or t == cfg.max_iter:
                 break
             # The gap falls about as fast as the residual: aim at _NEXT_CHECK of tol.
             share = cfg.tol * certificate.objective / certificate.gap if certificate.gap > 0.0 else 0.0
             threshold, checked = rel * _NEXT_CHECK * min(1.0, max(0.02, share)), t
-        if rejected:  # back to the plain step from the point the extrapolation came from
-            y[...] = history.f[origin]
-            history.restart()
-            origin = None
-        else:
-            y, origin = history.extrapolate(y, f, size)
-            if not checked:
-                history.restart()  # plain steps, and no history, until the first failed check
+        y += d
     with np.errstate(over="ignore"):
         fields = np.ldexp([certificate.objective, certificate.linf_violation,
                            certificate.spectral_violation, certificate.gap], -problem.k).tolist()
@@ -485,102 +476,6 @@ def _certificate(problem: _UnitProblem, y, p, tol: float):
     gap = objective - lower
     exit = "converged" if 0.0 <= gap <= max(tol * objective, math.ldexp(ctr.c.size, -50)) else "max_iter"
     return x, Certificate(objective, max(norms[0] - ctr.lam, 0.0), max(norms[1] - ctr.tau, 0.0), gap, exit)
-
-
-class _History:
-    """The last ``_MEMORY`` points of a solve, for type-II Anderson acceleration of its map.
-
-    The map is the plain step ``y -> f = y + g``, ``g = rho d(y)``.  One
-    preallocated ``(2, _MEMORY, 3, m, n)`` array holds each point's ``g`` and
-    ``f`` in a ring of slots, and ``gram`` the inner products of the ``g``,
-    one row written per point.  An extrapolation is ``sum_j alpha_j f_j`` over
-    the points held, ``alpha`` minimising ``||sum_j alpha_j g_j||`` subject to
-    ``sum_j alpha_j = 1`` (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30, 2020).
-    """
-
-    def __init__(self, shape):
-        self.g, self.f = np.empty((2, _MEMORY, *shape))
-        self.gram = [[0.0] * _MEMORY for _ in range(_MEMORY)]
-        self.size = [0.0] * _MEMORY  # ||g|| of each slot
-        self.count = 0  # points held since the last restart, the newest in slot (count - 1) % _MEMORY
-        self.spare = np.empty(shape)
-
-    def add(self, y, d):
-        """Write the point ``y`` with move ``d`` into the next slot; ``(f, ||g||)``."""
-        s, held = self.count % _MEMORY, min(self.count + 1, _MEMORY)
-        g = np.multiply(d, _RHO, out=self.g[s])
-        f = np.add(y, g, out=self.f[s])
-        self.row = (self.g[:held].reshape(held, -1) @ g.reshape(-1)).tolist()
-        return f, math.sqrt(self.row[s])
-
-    def restart(self):
-        self.count = 0
-
-    def extrapolate(self, y, f, size):
-        """Keep the point just added; ``(next y, its slot)``, the slot ``None`` for a plain step.
-
-        The plain step ``f`` is taken, and the history restarted, where fewer
-        than two points are held, or the coefficients are refused (see
-        :func:`_coefficients`), or the extrapolated step is longer than
-        ``_STEP_CAP`` plain steps.  ``y`` may be overwritten.
-        """
-        s, held = self.count % _MEMORY, min(self.count + 1, _MEMORY)
-        self.count += 1
-        for j, v in enumerate(self.row):
-            self.gram[s][j] = self.gram[j][s] = v
-        self.size[s] = size
-        if held > 1:
-            alpha = _coefficients(self.gram, s, held)
-            if alpha is not None:
-                nxt = self.spare
-                np.dot(alpha, self.f[:held].reshape(held, -1), out=nxt.reshape(-1))
-                step = np.subtract(nxt, y, out=y).reshape(-1)
-                if math.sqrt(step @ step) <= _STEP_CAP * size:
-                    self.spare = y
-                    return nxt, s
-            self.restart()
-        y[...] = f
-        return y, None
-
-
-def _coefficients(gram, s, held):
-    """The coefficients over slots ``0..held-1`` of an extrapolation, ``s`` the newest; ``None`` if refused.
-
-    With ``alpha_s = 1 - sum_j gamma_j``, ``gamma`` solves the least-squares
-    problem ``min ||g_s + sum_j gamma_j (g_j - g_s)||`` over the other slots,
-    its normal matrix regularized by ``_REGULARIZATION`` times its trace.
-    Refused where that matrix is 0, or ``alpha`` is not finite or its l1
-    norm exceeds ``_COEFFICIENT_CAP``.
-    """
-    others = [j for j in range(held) if j != s]
-    a = [[gram[i][j] - gram[i][s] - gram[j][s] + gram[s][s] for j in others] for i in others]
-    b = [gram[s][s] - gram[i][s] for i in others]
-    trace = sum(a[i][i] for i in range(len(others)))
-    if not trace > 0.0:
-        return None
-    for i in range(len(others)):
-        a[i][i] += _REGULARIZATION * trace
-    gamma = _solve(a, b)
-    alpha = [0.0] * held
-    for j, v in zip(others, gamma):
-        alpha[j] = v
-    alpha[s] = 1.0 - sum(gamma)
-    return alpha if sum(abs(v) for v in alpha) <= _COEFFICIENT_CAP else None  # False for a NaN
-
-
-def _solve(a, b):
-    """``a^-1 b`` for a small symmetric positive definite ``a``, by elimination without pivots."""
-    n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = a[j][i] / a[i][i]
-            for k in range(i, n):
-                a[j][k] -= r * a[i][k]
-            b[j] -= r * b[i]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = (b[i] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
-    return x
 
 
 def _dual_value(z, ctr):

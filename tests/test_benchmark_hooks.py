@@ -60,10 +60,10 @@ def test_one_thread_fit_runs():
 
 def test_l1_and_linf_spans_count_one_call_per_sweep(monkeypatch):
     # The sweep looks each operator up as a module global at every call, so
-    # perfbench's prox.*_calls each count the sweeps, a rejected extrapolation
-    # included, and each certificate built calls nuclear_norm four times: once
-    # for each of its two candidate points, twice for the dual value.  An
-    # operator bound before the loop would escape the tracer.
+    # perfbench's prox.*_calls each count the sweeps, and each certificate
+    # built calls nuclear_norm four times: once for each of its two candidate
+    # points, twice for the dual value.  An operator bound before the loop
+    # would escape the tracer.
     sweep_ops = ("prox_l1", "project_linf_ball", "prox_nuclear", "project_spectral_ball")
     calls = dict.fromkeys(sweep_ops + ("nuclear_norm", "_certificate"), 0)
 

@@ -194,34 +194,31 @@ class TestSubproblem:
         assert trace[4] > 1e6 * trace[0]
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
-    def test_smoothed_change_is_non_increasing(self, seed, monkeypatch):
-        # The relaxed PPXA map is nonexpansive, so a plain step never makes
-        # the move longer, and an extrapolated point whose move is longer than
-        # that of the point it came from is rejected.  So the absolute
-        # residual of each accepted sweep is at most that of the accepted sweep
-        # before it, sweep by sweep, not only as a mean over ten sweeps.
-        sizes, extrapolated, add = [], [], solver._History.add
+    def test_change_is_non_increasing(self, seed, monkeypatch):
+        # The relaxed PPXA map is averaged, so its step never makes the move
+        # longer: the absolute residual ||rho d|| of every sweep is at most
+        # that of the sweep before it, sweep by sweep, not only as a mean
+        # over ten sweeps.
+        sizes, sweep = [], solver._sweep
 
-        def recording(history, y, d):
-            f, size = add(history, y, d)
-            sizes.append(size)
-            extrapolated.append(history.count > 1)  # y came from a combination of points held
-            return f, size
+        def recording(problem, y):
+            p, d = sweep(problem, y)
+            sizes.append(float(np.linalg.norm(solver._RHO * d)))
+            return p, d
 
-        monkeypatch.setattr(solver._History, "add", recording)
+        monkeypatch.setattr(solver, "_sweep", recording)
         center = np.random.default_rng(seed).normal(size=(6, 8))
         cfg = base_cfg(lam=0.3, tau=1.0, tol=1e-12, max_iter=2000)
         _, trace = solve_subproblem(1, center, (6, 8), cfg)
-        accepted = [sizes[0]] + [size for size, before, combined in zip(sizes[1:], sizes, extrapolated[1:])
-                                 if not (combined and size > before)]
-        assert trace.certificate.exit == "converged" and sum(extrapolated) > len(trace) / 2
-        assert np.all(np.diff(accepted) <= 1e-14 * sizes[0])
+        assert trace.certificate.exit == "converged" and len(sizes) == len(trace) > 300
+        assert np.all(np.diff(sizes) <= 1e-14 * sizes[0])
 
-    def test_the_step_cap_keeps_extrapolations_near(self, monkeypatch):
+    def test_cv_dataset_8_solves_stay_bounded(self, monkeypatch):
         # Dataset 8 of the benchmark's cv_10x10x5 workload, cell (1, 1, 10):
-        # with no cap on the extrapolated step, the relative residual of
-        # modes 1 and 2 reached 1,582 and 1,445 on their way to the answer,
-        # and an earlier form of the loop overflowed there.
+        # an uncapped extrapolation once drove the relative residual of
+        # modes 1 and 2 to 1,582 and 1,445 here, and an earlier form of the
+        # loop overflowed.  Every solve of the cell stays below a relative
+        # residual of 1 and exits certified or at the exact zero.
         traces, solve = [], solver.solve_subproblem
 
         def recording(*args):
@@ -394,8 +391,7 @@ def consensus_of_last_plain_step(y, p):
 class TestCertificate:
     """The exit certificate and the certified loop against their definitions, and against the primal problem."""
 
-    CONSTANTS = (solver._FIRST_CHECK, solver._NEXT_CHECK, solver._RECHECK, solver._MEMORY,
-                 solver._REGULARIZATION, solver._COEFFICIENT_CAP, solver._STEP_CAP)
+    CONSTANTS = (solver._FIRST_CHECK, solver._NEXT_CHECK, solver._RECHECK)
 
     @staticmethod
     def _ops(center, cfg):
@@ -439,7 +435,7 @@ class TestCertificate:
             return (r.normal(size=(10, 2)) @ r.normal(size=(2, 50)),
                     base_cfg(lam=0.1, tau=0.1, tol=1e-12, max_iter=40))
         if kind == "tight":
-            # An extrapolation is rejected at sweep 66 of 201.
+            # A long run: 209 sweeps to a converged exit.
             return r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0, tol=1e-8, max_iter=2000)
         return r.normal(size=(6, 8)), base_cfg(lam=0.3, tau=1.0)
 
@@ -484,19 +480,11 @@ class TestCertificate:
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
 
-    def test_run_with_a_rejected_extrapolation_matches_reference(self, monkeypatch):
+    def test_long_run_matches_reference(self):
         center, cfg = self._instance("tight")
-        rejected, add = [], solver._History.add
-
-        def recording(history, y, d):
-            f, size = add(history, y, d)
-            rejected.append(history.count > 1 and size > history.size[(history.count - 1) % solver._MEMORY])
-            return f, size
-
-        monkeypatch.setattr(solver._History, "add", recording)
         w, trace = solve_subproblem(1, center, (6, 8), cfg)
         x, residuals, certificate, _ = self._reference(center, cfg)
-        assert any(rejected) and trace.certificate.exit == "converged"
+        assert len(trace) > 200 and trace.certificate.exit == "converged"
         assert trace.residuals == tuple(residuals)
         np.testing.assert_array_equal(w.view(np.uint64), x.view(np.uint64))
         assert repr(trace.certificate) == repr(certificate)
@@ -504,10 +492,9 @@ class TestCertificate:
     @pytest.mark.parametrize("kind", ["full_rank", "rank_two", "converged", "tight"])
     def test_agrees_with_the_carried_consensus_recursion(self, kind, monkeypatch):
         # The mean of the copies is the iterate that the paper's recursion
-        # carries, under extrapolation too.  Late residuals differ by rounding
-        # (cancellation in the step), so the sweeps and the consensus iterate
-        # of the last sweep are compared, not the residuals.  The instances
-        # of the two tests above.
+        # carries.  Late residuals differ by rounding (cancellation in the
+        # step), so the sweeps and the consensus iterate of the last sweep are
+        # compared, not the residuals.  The instances of the tests above.
         center, cfg = self._instance(kind)
         sweeps, certificate_of = [], solver._certificate
         monkeypatch.setattr(solver, "_certificate",

@@ -1,7 +1,7 @@
 """Print how far the mode solves of the benchmark's inputs stop from their optima.
 
-A change to the solve loop (its stop, step or extrapolation) is compared at
-equal accuracy with this.  Run from the repository root (or anywhere) with
+A change to the solve loop (its stop or step) is compared at equal accuracy
+with this.  Run from the repository root (or anywhere) with
 
     python3 tools/accuracy_audit.py
 
@@ -20,8 +20,10 @@ distance is ``||w - w_ref||_F / ||w_ref||_F``.  For each set one line gives
 the solve count, the sweeps, the solves more than 1% off, the worst and the
 median distance, the reference solves that did not converge, and the
 converged exits whose gap is outside ``[0, tol * objective]`` or whose
-violations exceed 1e-12 of the radii.  It imports ``perfbench.workloads``
-for the CV workload's settings and grid, and changes nothing there.
+violations exceed 1e-12 of the radii.  The fit line ends with the sweeps of
+modes 1/2/3 of the seed-0 fit at (1, 1), the benchmark's fit.  It imports
+``perfbench.workloads`` for the CV workload's settings and grid, and
+changes nothing there.
 """
 
 import os
@@ -78,15 +80,18 @@ def cv_solves():
 
 
 def fit_solves():
+    """The fit set's solves, and the sweeps per mode of its first fit: seed 0 at (1, 1)."""
+    sweeps = []
+
     def run():
         for s in range(2):
             ds = simulate.generate(SimSpec((30, 30, 10), 720, seed=s))[0]
             for lam, tau in FIT_RADII:
-                solver.fit(ds, SolverConfig(lam=lam, tau=tau, epsilon=1.0))
-    return recorded(run)
+                sweeps.append(solver.fit(ds, SolverConfig(lam=lam, tau=tau, epsilon=1.0)).iterations_used)
+    return recorded(run), sweeps[0]
 
 
-def audit(name, solves):
+def audit(name, solves, note=""):
     distances, unconverged, uncertified = [], 0, 0
     for m, center, dims, cfg, w, trace in solves:
         tight = dataclasses.replace(cfg, tol=REFERENCE_TOL, max_iter=REFERENCE_MAX_ITER)
@@ -102,9 +107,10 @@ def audit(name, solves):
     print(f"{name}: {len(solves)} solves, {sum(len(s[5]) for s in solves)} sweeps, "
           f"{int(np.count_nonzero(d > 1e-2))} more than 1% off, worst {d.max():.3g}, "
           f"median {np.median(d):.3g}; {unconverged} references unconverged, "
-          f"{uncertified} converged exits outside their certificate")
+          f"{uncertified} converged exits outside their certificate{note}")
 
 
 if __name__ == "__main__":
     audit("cv", cv_solves())
-    audit("fit", fit_solves())
+    solves, seed0 = fit_solves()
+    audit("fit", solves, f"; seed-0 fit at (1, 1): {'/'.join(map(str, seed0))} sweeps")
